@@ -251,9 +251,14 @@ def extract_hodge_integrals(
     if hurwitz is None:
         def hurwitz(gg, prof):
             return engines.connected_hurwitz(gg, prof, k_bound=k_bound, r_bound=r_bound)
+    # The corner (B, ..., B) has the largest k and r on the grid, so asking
+    # for it first lets the engine reject a bound it cannot serve before the
+    # C(B + n - 1, n) grid points are listed.  It is the last grid point.
+    corner = hurwitz(g, (bound,) * n)
     points = list(combinations_with_replacement(range(1, bound + 1), n))
     matrix = _design_matrix(keys, points)
-    rhs = [Fraction(hurwitz(g, point)) / prefactor(g, point) for point in points]
+    counts = [hurwitz(g, point) for point in points[:-1]] + [corner]
+    rhs = [Fraction(h) / prefactor(g, point) for h, point in zip(counts, points)]
     try:
         solution = solve_exact(matrix, rhs)
     except RankDeficientError as exc:

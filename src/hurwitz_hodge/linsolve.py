@@ -1,14 +1,23 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact linear algebra over the rationals by one fraction-free elimination.
+
+Both the rank probe (``column_rank``) and the solver (``solve_exact``) run
+the same integer-preserving (Bareiss) elimination.  Denominators are
+cleared row by row: each row is multiplied by the lcm of its own
+denominators, which changes neither the rank nor the solution set, and
+from then on elimination divides integers exactly (the solver first puts
+the right-hand side over one common denominator).  Rationals reappear
+only in the solution and in the residual check.
 
 Built for small, possibly overdetermined systems that must hold exactly:
 full column rank is mandatory and every equation (including surplus rows)
-is re-checked against the solution, so a wrong right-hand side can never
-pass silently.
+is re-checked, as given and in its own units, against the solution, so a
+wrong right-hand side can never pass silently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class RankDeficientError(ValueError):
@@ -24,26 +33,51 @@ class InconsistentSystemError(ValueError):
         super().__init__(f"equation {row_index} has nonzero residual {residual}")
 
 
-def column_rank(matrix) -> int:
-    """Rank of the column space, by exact elimination on a working copy."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    if not rows:
-        return 0
-    n_cols = len(rows[0])
-    pivots = 0
-    for col in range(n_cols):
-        pivot_at = next((r for r in range(pivots, len(rows)) if rows[r][col] != 0), None)
+def _rationals(values) -> list:
+    """``values`` as ints and Fractions, converting only what is neither."""
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+
+
+def _echelon(rows, width: int) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon form of ``rows`` and its pivot columns.
+
+    Entries are ints or Fractions.  Each row is first scaled to integers
+    by the lcm of its own denominators.  Pivots are sought in the first
+    ``width`` columns, and pivot i ends up in row i; columns past
+    ``width`` (a right-hand side) are carried along.  Bareiss's update
+    divides by the previous pivot, and by Sylvester's identity that
+    division is exact, so every entry is a minor of the scaled matrix and
+    no rational is ever formed.
+    """
+    work = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        work.append([v.numerator * (scale // v.denominator) for v in row])
+    pivots: list[int] = []
+    previous = 1
+    for col in range(width):
+        top_at = len(pivots)
+        pivot_at = next((r for r in range(top_at, len(work)) if work[r][col]), None)
         if pivot_at is None:
             continue
-        rows[pivots], rows[pivot_at] = rows[pivot_at], rows[pivots]
-        pivot = rows[pivots][col]
-        for r in range(pivots + 1, len(rows)):
-            f = rows[r][col]
-            if f:
-                scale = f / pivot
-                rows[r] = [a - scale * b for a, b in zip(rows[r], rows[pivots])]
-        pivots += 1
-    return pivots
+        work[top_at], work[pivot_at] = work[pivot_at], work[top_at]
+        top = work[top_at]
+        pivot = top[col]
+        for r in range(top_at + 1, len(work)):
+            row = work[r]
+            f = row[col]
+            row[col:] = [(pivot * a - f * b) // previous for a, b in zip(row[col:], top[col:])]
+        previous = pivot
+        pivots.append(col)
+    return work, pivots
+
+
+def column_rank(matrix) -> int:
+    """Rank of the column space, by exact elimination on a working copy."""
+    rows = [_rationals(row) for row in matrix]
+    if not rows:
+        return 0
+    return len(_echelon(rows, len(rows[0]))[1])
 
 
 def solve_exact(matrix, rhs) -> list[Fraction]:
@@ -62,27 +96,27 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
         raise ValueError("ragged matrix")
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length does not match the matrix")
-    original = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    work = [row[:] for row in original]
-    n_rows = len(work)
-    for col in range(n_cols):
-        pivot_at = next((r for r in range(col, n_rows) if work[r][col] != 0), None)
-        if pivot_at is None:
-            raise RankDeficientError(f"column rank below {n_cols}: no pivot for column {col}")
-        work[col], work[pivot_at] = work[pivot_at], work[col]
-        pivot = work[col][col]
-        for r in range(col + 1, n_rows):
-            f = work[r][col]
-            if f:
-                scale = f / pivot
-                work[r] = [a - scale * b for a, b in zip(work[r], work[col])]
-    solution = [Fraction(0)] * n_cols
+    original = [_rationals([*row, b]) for row, b in zip(rows, rhs)]
+    # One common denominator for b, so that a large one does not inflate
+    # every entry of its row; the system solved is A (unit x) = unit b.
+    unit = lcm(*(row[-1].denominator for row in original))
+    work, pivots = _echelon([[*row[:-1], row[-1] * unit] for row in original], n_cols)
+    if len(pivots) < n_cols:
+        col = next(c for c in range(n_cols) if c not in pivots)
+        raise RankDeficientError(f"column rank below {n_cols}: no pivot for column {col}")
+    # The last pivot is the determinant det of the pivot rows' square block,
+    # so by Cramer's rule det * unit * x is integral and back substitution
+    # stays in exact integer division.
+    det = work[n_cols - 1][n_cols - 1] if n_cols else 1
+    numerators = [0] * n_cols
     for col in range(n_cols - 1, -1, -1):
         row = work[col]
-        s = row[-1] - sum(row[c] * solution[c] for c in range(col + 1, n_cols))
-        solution[col] = s / row[col]
+        s = det * row[-1] - sum(row[c] * numerators[c] for c in range(col + 1, n_cols))
+        numerators[col] = s // row[col]
+    denominator = det * unit
     for idx, row in enumerate(original):
-        residual = sum(row[c] * solution[c] for c in range(n_cols)) - row[-1]
+        total = sum(a * v for a, v in zip(row, numerators))
+        residual = Fraction(total, denominator) - row[-1]
         if residual:
             raise InconsistentSystemError(idx, residual)
-    return solution
+    return [Fraction(v, denominator) for v in numerators]

@@ -164,3 +164,16 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "4\n"
+
+
+def test_huge_grid_bound_fails_fast():
+    # the corner profile trips the engine's bound before the grid is listed
+    result = subprocess.run(
+        [sys.executable, "-m", "hurwitz_hodge", "hodge", "--genus", "1", "--points", "3",
+         "--grid-bound", "1000000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "exceeds bound" in result.stderr
