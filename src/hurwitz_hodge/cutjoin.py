@@ -23,6 +23,7 @@ bound are dropped, so a layer list is valid only for |mu| <= kmax.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -122,14 +123,18 @@ def cut_and_join_layer(layers: list[PPoly], kmax: int = DEFAULT_TRUNCATION) -> P
 
 
 _LAYER_CACHE: dict[int, list[PPoly]] = {}
+# held while a layer list is extended, so that concurrent callers neither
+# append the same layer twice nor read a list another thread is growing
+_LAYER_LOCK = threading.Lock()
 
 
 def _layers(kmax: int, r: int) -> list[PPoly]:
     if kmax < 1:
         raise ValueError("truncation bound must be at least 1")
-    layers = _LAYER_CACHE.setdefault(kmax, [{(1,): Fraction(1)}])
-    while len(layers) <= r:
-        layers.append(cut_and_join_layer(layers, kmax))
+    with _LAYER_LOCK:
+        layers = _LAYER_CACHE.setdefault(kmax, [{(1,): Fraction(1)}])
+        while len(layers) <= r:
+            layers.append(cut_and_join_layer(layers, kmax))
     return layers
 
 

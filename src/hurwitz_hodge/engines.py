@@ -19,14 +19,19 @@ nonnegative integer for every input.  Three independent engines:
 * ``connected_hurwitz`` expands the count without the connectivity
   requirement over class-algebra eigenvalues (``frobenius_disconnected``)
   and then peels off disconnected pieces by inclusion-exclusion over the
-  poles sharing a component with pole 1;
+  poles sharing a component with pole 1.  Poles of equal order give equal
+  terms, so the sum runs over sub-multisets of the other poles, weighted
+  by the number prod C(m_v, c_v) of labeled subsets each one stands for;
 * the cut-and-join layer recursion lives in :mod:`hurwitz_hodge.cutjoin`.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial
 
 from .characters import character_value, content_eigenvalue, irrep_dimension
@@ -100,29 +105,33 @@ def _merge_labels(labels: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 # length-r transposition tuples with that product whose edge graph is
 # connected; states carry the evolving (product, connectivity) pairs
 _BRUTE_STATE: dict[int, dict] = {}
+# held while a state table is advanced, so that concurrent callers neither
+# step the same states twice nor append a summary out of turn
+_BRUTE_LOCK = threading.Lock()
 
 
 def _brute_summaries(k: int, r: int) -> list[dict[tuple[int, ...], int]]:
-    entry = _BRUTE_STATE.setdefault(
-        k, {"states": {(tuple(range(k)), tuple(range(k))): 1}, "summaries": []}
-    )
     transpositions = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    summaries = entry["summaries"]
-    while len(summaries) <= r:
-        if summaries:
-            nxt: dict = {}
+    with _BRUTE_LOCK:
+        entry = _BRUTE_STATE.setdefault(
+            k, {"states": {(tuple(range(k)), tuple(range(k))): 1}, "summaries": []}
+        )
+        summaries = entry["summaries"]
+        while len(summaries) <= r:
+            if summaries:
+                nxt: dict = {}
+                for (perm, labels), cnt in entry["states"].items():
+                    for a, b in transpositions:
+                        newperm = tuple(b if v == a else a if v == b else v for v in perm)
+                        key = (newperm, _merge_labels(labels, a, b))
+                        nxt[key] = nxt.get(key, 0) + cnt
+                entry["states"] = nxt
+            summary: dict[tuple[int, ...], int] = {}
             for (perm, labels), cnt in entry["states"].items():
-                for a, b in transpositions:
-                    newperm = tuple(b if v == a else a if v == b else v for v in perm)
-                    key = (newperm, _merge_labels(labels, a, b))
-                    nxt[key] = nxt.get(key, 0) + cnt
-            entry["states"] = nxt
-        summary: dict[tuple[int, ...], int] = {}
-        for (perm, labels), cnt in entry["states"].items():
-            if all(lab == 0 for lab in labels):
-                ct = _cycle_type(perm)
-                summary[ct] = summary.get(ct, 0) + cnt
-        summaries.append(summary)
+                if all(lab == 0 for lab in labels):
+                    ct = _cycle_type(perm)
+                    summary[ct] = summary.get(ct, 0) + cnt
+            summaries.append(summary)
     return summaries
 
 
@@ -219,14 +228,23 @@ def _labeled_connected(mu: tuple[int, ...], r: int) -> Fraction:
     # Every component of a covering carries at least one pole, so the
     # disconnected count splits over the proper pole subsets sharing a
     # component with pole 1, with a binomial choice of which transposition
-    # slots act on that component.  Solve for the connected term.
-    for mask in range((1 << (n - 1)) - 1):
+    # slots act on that component.  Solve for the connected term.  Subsets
+    # taking the same number c_v of the m_v other poles of each order v give
+    # the same (block, rest) pair, so each sub-multiset is visited once with
+    # weight prod C(m_v, c_v); taking every pole leaves no rest and is skipped.
+    orders = sorted(Counter(mu[1:]).items(), reverse=True)
+    for counts in product(*(range(m + 1) for _, m in orders)):
+        weight = 1
         block = [mu[0]]
         rest = []
-        for i in range(1, n):
-            (block if mask >> (i - 1) & 1 else rest).append(mu[i])
-        block_mu = tuple(sorted(block, reverse=True))
-        rest_mu = tuple(sorted(rest, reverse=True))
+        for c, (v, m) in zip(counts, orders):
+            weight *= comb(m, c)
+            block += [v] * c
+            rest += [v] * (m - c)
+        if not rest:
+            continue
+        block_mu = tuple(block)
+        rest_mu = tuple(rest)
         rest_aut = aut_count(rest_mu)
         for r_block in range(sum(block_mu) + len(block_mu) - 2, r + 1, 2):
             h_block = _labeled_connected(block_mu, r_block)
@@ -234,7 +252,7 @@ def _labeled_connected(mu: tuple[int, ...], r: int) -> Fraction:
                 continue
             h_rest = _disconnected(rest_mu, r - r_block)
             if h_rest:
-                total -= comb(r, r_block) * h_block * rest_aut * h_rest
+                total -= weight * comb(r, r_block) * h_block * rest_aut * h_rest
     return total
 
 
@@ -246,8 +264,8 @@ def connected_hurwitz(
     r_bound: int = DEFAULT_R_BOUND,
 ) -> Fraction:
     """The Hurwitz number h_{g; profile}, by the class-algebra engine plus
-    labeled-pole inclusion-exclusion; invariant under reordering the
-    profile."""
+    inclusion-exclusion over sub-multisets of poles with binomial weights;
+    invariant under reordering the profile."""
     profile = check_profile(profile)
     r = ramification_count(g, profile)
     k = sum(profile)

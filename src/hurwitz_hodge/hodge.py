@@ -27,7 +27,8 @@ exist and the engines compute them.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
 from . import engines
@@ -124,9 +125,29 @@ def hodge_keys(g: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
     return keys
 
 
+@lru_cache(maxsize=None)
+def _distinct_permutations(b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Each distinct rearrangement of b once, in lexicographic order
+    (next-permutation steps, so repeated entries cost no extra work)."""
+    p = sorted(b)
+    out = []
+    while True:
+        out.append(tuple(p))
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = reversed(p[i + 1:])
+
+
 def _monomial_sum(b: tuple[int, ...], ks) -> int:
     """Sum of prod k_i^{b'_i} over distinct rearrangements b' of b."""
-    return sum(prod(k ** e for k, e in zip(ks, p)) for p in set(permutations(b)))
+    return sum(prod(k ** e for k, e in zip(ks, p)) for p in _distinct_permutations(b))
 
 
 class HodgeTable:

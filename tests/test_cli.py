@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from hurwitz_hodge.cli import main
+from hurwitz_hodge.engines import genus_zero_closed_form
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +54,15 @@ def test_raised_bounds_via_flags(capsys):
     # one-pole genus 0 is k^(k-3); for k = 11 that is 11^8
     code, out, _ = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "11", "--kmax", "11")
     assert code == 0 and out == f"{11 ** 8}\n"
+
+
+def test_many_equal_poles_answer(capsys):
+    # twenty simple poles: labeled-subset inclusion-exclusion would walk
+    # 2^19 subsets at the top level alone
+    ones = ",".join(["1"] * 20)
+    code, out, _ = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", ones, "--kmax", "20")
+    assert code == 0
+    assert out == f"{genus_zero_closed_form((1,) * 20)}\n"
 
 
 def test_hodge_records(capsys):

@@ -1,7 +1,10 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from hurwitz_hodge import cutjoin
 from hurwitz_hodge.cutjoin import (
     cut_and_join_hurwitz,
     cut_and_join_layer,
@@ -74,6 +77,34 @@ def test_layers_are_copies():
     layers = cut_and_join_layers(1, kmax=6)
     layers[1][(9, 9)] = F(1)
     assert cut_and_join_layers(1, kmax=6)[1] == {(2,): F(1, 2)}
+
+
+def test_layer_cache_is_thread_safe():
+    # four threads growing the same cold layer list used to append layers
+    # twice and leave a wrong list behind for every later call
+    cutjoin._LAYER_CACHE.clear()
+    profile = (1,) * 7
+    start = threading.Barrier(4)
+    results = []
+
+    def work():
+        start.wait()
+        results.append(cut_and_join_hurwitz(1, profile, kmax=9))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    r = ramification_count(1, profile)
+    assert results == [F(171121991040)] * 4
+    assert len(cutjoin._LAYER_CACHE[9]) == r + 1
 
 
 def test_ramification_consistency():

@@ -1,9 +1,13 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
 import pytest
 
+from hurwitz_hodge import engines
+from hurwitz_hodge.cutjoin import cut_and_join_hurwitz
 from hurwitz_hodge.engines import (
     brute_force_hurwitz,
     connected_hurwitz,
@@ -151,6 +155,24 @@ def test_genus_zero_closed_form_matches_engine(k):
 
 
 # ---------------------------------------------------------------------------
+# inclusion-exclusion over sub-multisets of poles, against sources that never
+# go through it: the cut-and-join layers and the genus-0 closed form
+
+
+def test_connected_matches_cut_and_join_weight_8():
+    for mu in partitions_of(8):
+        for g in range(2):
+            assert connected_hurwitz(g, mu) == cut_and_join_hurwitz(g, mu, kmax=8)
+
+
+@pytest.mark.parametrize(
+    "mu", [(1,) * 14, (2,) + (1,) * 12, (3, 3) + (1,) * 8, (2, 2, 2) + (1,) * 6]
+)
+def test_genus_zero_closed_form_many_repeated_poles(mu):
+    assert connected_hurwitz(0, mu, k_bound=16) == genus_zero_closed_form(mu)
+
+
+# ---------------------------------------------------------------------------
 # invariants
 
 
@@ -195,6 +217,33 @@ def test_disconnected_dominates_connected():
                 if n == 1:
                     # a full-length cycle in the monodromy forces transitivity
                     assert disconnected == connected
+
+
+def test_brute_force_state_table_is_thread_safe():
+    # four threads growing the same cold state table used to step it twice
+    # and leave a wrong count behind for every later call
+    engines._BRUTE_STATE.pop(5, None)
+    start = threading.Barrier(4)
+    results = []
+
+    def work():
+        start.wait()
+        results.append(brute_force_hurwitz(1, (1,) * 5))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    r = ramification_count(1, (1,) * 5)
+    assert results == [connected_hurwitz(1, (1,) * 5)] * 4
+    assert len(engines._BRUTE_STATE[5]["summaries"]) == r + 1
 
 
 def test_engine_agreement_sample():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
@@ -7,6 +8,7 @@ from hurwitz_hodge.engines import connected_hurwitz, genus_zero_closed_form
 from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
 from hurwitz_hodge.hodge import (
     HodgeTable,
+    _monomial_sum,
     degree_LL,
     extract_hodge_integrals,
     hodge_keys,
@@ -199,3 +201,13 @@ def test_tables_merge_across_moduli():
     assert len(table) == 3
     assert hurwitz_from_hodge(1, (2,), table) == F(1, 2)
     assert hurwitz_from_hodge(0, (1, 2, 3), table) == connected_hurwitz(0, (1, 2, 3))
+
+
+def test_monomial_sum_matches_set_of_permutations():
+    for n in range(5):
+        for b in product(range(4), repeat=n):
+            for ks in [(2, 3, 5, 7)[:n], (1, 1, 2, 3)[:n]]:
+                expected = sum(
+                    prod(k ** e for k, e in zip(ks, p)) for p in set(permutations(b))
+                )
+                assert _monomial_sum(b, ks) == expected
