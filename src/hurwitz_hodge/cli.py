@@ -12,21 +12,16 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import prod
 
 from . import cache as cache_store
-from . import cutjoin, engines, hodge, series
+from . import cutjoin, engines, hodge, verify
 from .errors import ConsistencyError, InfeasibleError
-from .partitions import aut_count, partitions_of
-from .report import Check, all_pass, make_check
+from .report import all_pass
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INCONSISTENT = 3
-
-SUITES = ("engines", "genus0", "degll", "hodge-roundtrip", "fp-identity")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     hdg.set_defaults(func=_cmd_hodge)
 
     ver = sub.add_parser("verify", help="run one verification suite")
-    ver.add_argument("suite", choices=SUITES)
+    ver.add_argument("suite", choices=verify.SUITES)
     ver.add_argument("--gmax", type=int, default=2, help="genus budget for fp-identity")
     ver.add_argument("--cache", help="cache file (degll also checks its records)")
     ver.set_defaults(func=_cmd_verify)
@@ -210,114 +205,11 @@ def _cmd_hodge(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-
-def _mu_text(mu) -> str:
-    return ",".join(map(str, mu))
-
-
-def _suite_engines() -> list[Check]:
-    """Triple agreement for k <= 5 up to r = 12, character engine vs
-    cut-and-join for k = 6 up to genus 2."""
-    checks = []
-    for k in range(1, 6):
-        for mu in partitions_of(k):
-            n = len(mu)
-            g = 0
-            while k + n + 2 * g - 2 <= 12:
-                hb = engines.brute_force_hurwitz(g, mu)
-                hf = engines.connected_hurwitz(g, mu)
-                hc = cutjoin.cut_and_join_hurwitz(g, mu, kmax=6)
-                key = f"g={g}/mu={_mu_text(mu)}"
-                checks.append(make_check("engines", key + "/brute-vs-frobenius", hb, hf))
-                checks.append(make_check("engines", key + "/frobenius-vs-cutjoin", hf, hc))
-                g += 1
-    for mu in partitions_of(6):
-        for g in range(3):
-            hf = engines.connected_hurwitz(g, mu)
-            hc = cutjoin.cut_and_join_hurwitz(g, mu, kmax=6)
-            key = f"g={g}/mu={_mu_text(mu)}"
-            checks.append(make_check("engines", key + "/frobenius-vs-cutjoin", hf, hc))
-    return checks
-
-
-def _suite_genus0() -> list[Check]:
-    checks = []
-    for k in range(1, 9):
-        for mu in partitions_of(k):
-            closed = engines.genus_zero_closed_form(mu)
-            computed = engines.connected_hurwitz(0, mu)
-            checks.append(make_check("genus0", f"mu={_mu_text(mu)}", closed, computed))
-    return checks
-
-
-def _degll_check(g: int, mu, h: Fraction) -> Check:
-    key = f"g={g}/mu={_mu_text(mu)}"
-    try:
-        degree = hodge.degree_LL(g, mu, h)
-    except ConsistencyError:
-        raw = Fraction(h) * aut_count(mu) * prod(mu)
-        return Check("degll", key, "nonnegative-integer", str(raw), "fail")
-    return Check("degll", key, "nonnegative-integer", str(degree), "pass")
-
-
-def _suite_degll(cache_path: str | None) -> list[Check]:
-    checks = []
-    for k in range(1, 7):
-        for mu in partitions_of(k):
-            for g in range(3):
-                checks.append(_degll_check(g, tuple(mu), engines.connected_hurwitz(g, mu)))
-    if cache_path:
-        for record in _cache_records(cache_path):
-            if record["kind"] != "hurwitz":
-                continue
-            g = int(record["g"])
-            mu = tuple(int(x) for x in record["mu"].split(","))
-            checks.append(_degll_check(g, mu, Fraction(record["value"])))
-    return checks
-
-
-def _suite_roundtrip() -> list[Check]:
-    """Extraction followed by forward evaluation must reproduce the engine
-    on every profile with entries <= 4, in and out of the extraction grid;
-    plus the sign-convention demonstration."""
-    checks = []
-    for g in range(3):
-        for n in range(1, 4):
-            if not hodge.is_stable(g, n):
-                continue
-            table = hodge.extract_hodge_integrals(g, n, k_bound=15, r_bound=20)
-            bound = table.grid_bound[(g, n)]
-            for point in combinations_with_replacement(range(1, 5), n):
-                expected = engines.connected_hurwitz(g, point, k_bound=15, r_bound=20)
-                actual = hodge.hurwitz_from_hodge(g, point, table)
-                tag = "in-grid" if max(point) <= bound else "out-of-grid"
-                checks.append(
-                    make_check("hodge-roundtrip", f"g={g}/mu={_mu_text(point)}/{tag}", expected, actual)
-                )
-    table11 = hodge.extract_hodge_integrals(1, 1)
-    alternating = hodge.hurwitz_from_hodge(1, (1,), table11)
-    plus = hodge.hurwitz_from_hodge(1, (1,), table11, lambda_signs="plus")
-    checks.append(make_check("hodge-roundtrip", "sign=alternating/h(1;1)", Fraction(0), alternating))
-    checks.append(
-        Check("hodge-roundtrip", "sign=plus/h(1;1)", "nonzero", str(plus),
-              "pass" if plus != 0 else "fail")
-    )
-    return checks
+# verify
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "engines":
-        checks = _suite_engines()
-    elif args.suite == "genus0":
-        checks = _suite_genus0()
-    elif args.suite == "degll":
-        checks = _suite_degll(args.cache)
-    elif args.suite == "hodge-roundtrip":
-        checks = _suite_roundtrip()
-    else:
-        checks = series.verify_faber_pandharipande(args.gmax, tuple(range(1, 6)))
+    checks = verify.run(args.suite, gmax=args.gmax, cache_path=args.cache)
     for check in checks:
         print(check.line())
     return EXIT_OK if all_pass(checks) else EXIT_INCONSISTENT

@@ -8,25 +8,16 @@ anywhere.
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import factorial
 
+from hurwitz_hodge import verify
 from hurwitz_hodge.characters import character_value
 from hurwitz_hodge.cutjoin import cut_and_join_hurwitz, cut_and_join_layers
-from hurwitz_hodge.engines import (
-    brute_force_hurwitz,
-    connected_hurwitz,
-    genus_zero_closed_form,
-    ramification_count,
-)
-from hurwitz_hodge.hodge import (
-    degree_LL,
-    extract_hodge_integrals,
-    hurwitz_from_hodge,
-    is_stable,
-)
+from hurwitz_hodge.engines import brute_force_hurwitz, connected_hurwitz
+from hurwitz_hodge.hodge import degree_LL, extract_hodge_integrals
 from hurwitz_hodge.partitions import partitions_of, z_order
-from hurwitz_hodge.series import sine_kernel, verify_faber_pandharipande
+from hurwitz_hodge.series import sine_kernel
 from hurwitz_hodge.report import all_pass
 
 F = Fraction
@@ -54,47 +45,12 @@ def _report(number, name, ok):
 
 
 @lru_cache(maxsize=None)
-def _triple_sweep():
-    """(g, mu, value) for every partition with k <= 5 and r <= 12, with all
-    three engines required to agree exactly."""
-    out = []
-    for k in range(1, 6):
-        for mu in partitions_of(k):
-            mu = tuple(mu)
-            g = 0
-            while ramification_count(g, mu) <= 12:
-                hb = brute_force_hurwitz(g, mu)
-                hf = connected_hurwitz(g, mu)
-                hc = cut_and_join_hurwitz(g, mu, kmax=6)
-                assert hb == hf == hc, (g, mu, hb, hf, hc)
-                out.append((g, mu, hf))
-                g += 1
-    return tuple(out)
+def _suite(name):
+    return tuple(verify.run(name))
 
 
-@lru_cache(maxsize=None)
-def _pair_sweep():
-    """(g, mu, value) for k <= 6, g <= 2: character engine vs cut-and-join."""
-    out = []
-    for k in range(1, 7):
-        for mu in partitions_of(k):
-            mu = tuple(mu)
-            for g in range(3):
-                hf = connected_hurwitz(g, mu)
-                hc = cut_and_join_hurwitz(g, mu, kmax=6)
-                assert hf == hc, (g, mu, hf, hc)
-                out.append((g, mu, hf))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _genus0_sweep():
-    out = []
-    for k in range(1, 9):
-        for mu in partitions_of(k):
-            mu = tuple(mu)
-            out.append((0, mu, connected_hurwitz(0, mu)))
-    return tuple(out)
+def _keys(checks, suffix=""):
+    return [c.key for c in checks if c.key.endswith(suffix)]
 
 
 def test_criterion_1_anchor_values():
@@ -111,32 +67,30 @@ def test_criterion_1_anchor_values():
 
 def test_criterion_2_engine_agreement():
     start = time.monotonic()
-    triple = _triple_sweep()
-    pair = _pair_sweep()
+    checks = _suite("engines")
     elapsed = time.monotonic() - start
-    ok = len(triple) > 0 and len(pair) > 0 and elapsed < 300
+    triple = _keys(checks, "/brute-vs-frobenius")
+    pair = set(_keys(checks, "/frobenius-vs-cutjoin"))
+    every_pair = {
+        f"g={g}/mu={','.join(map(str, mu))}/frobenius-vs-cutjoin"
+        for k in range(1, 7) for mu in partitions_of(k) for g in range(3)
+    }
+    ok = all_pass(checks) and len(triple) == 85 and every_pair <= pair and elapsed < 300
     _report(2, f"engine agreement ({len(triple)} triple + {len(pair)} pair keys, {elapsed:.1f}s)", ok)
 
 
 def test_criterion_3_genus_zero_closed_form():
-    ok = all(h == genus_zero_closed_form(mu) for _, mu, h in _genus0_sweep())
-    _report(3, "genus-0 closed form for k <= 8", ok)
+    checks = _suite("genus0")
+    ok = all_pass(checks) and len(checks) == 66
+    _report(3, f"genus-0 closed form for k <= 8 ({len(checks)} keys)", ok)
 
 
 def test_criterion_4_degree_integrality():
-    seen = set()
-    ok = True
-    for g, mu, h in _triple_sweep() + _pair_sweep() + _genus0_sweep():
-        if (g, mu) in seen:
-            continue
-        seen.add((g, mu))
-        try:
-            degree_LL(g, mu, h)
-        except Exception:
-            ok = False
+    checks = _suite("degll")
+    ok = all_pass(checks) and len(set(_keys(checks))) == 155
     for (g, mu), h in ANCHORS.items():
         degree_LL(g, mu, h)
-    _report(4, f"deg LL integrality over {len(seen)} computed values", ok)
+    _report(4, f"deg LL integrality over {len(checks)} computed values", ok)
 
 
 def test_criterion_5_hodge_extraction():
@@ -156,20 +110,9 @@ def test_criterion_5_hodge_extraction():
 
 
 def test_criterion_6_round_trip():
-    ok = True
-    outside = 0
-    for g in range(3):
-        for n in range(1, 4):
-            if not is_stable(g, n):
-                continue
-            table = extract_hodge_integrals(g, n, k_bound=15, r_bound=20)
-            bound = table.grid_bound[(g, n)]
-            for profile in combinations_with_replacement(range(1, 5), n):
-                expected = connected_hurwitz(g, profile, k_bound=15, r_bound=20)
-                ok = ok and hurwitz_from_hodge(g, profile, table) == expected
-                if max(profile) > bound:
-                    outside += 1
-    ok = ok and outside >= 3
+    checks = _suite("hodge-roundtrip")
+    outside = len(_keys(checks, "/out-of-grid"))
+    ok = all_pass(checks) and outside >= 3
     _report(6, f"round trip through extraction ({outside} out-of-grid profiles)", ok)
 
 
@@ -179,24 +122,25 @@ def test_criterion_7_sine_kernel_identity():
         kernel = sine_kernel(k, 6)
         ok = ok and kernel[2] == F(k + 1, 24)
         ok = ok and kernel[4] == F((k + 1) * (5 * k + 7), 5760)
-    ok = ok and all_pass(verify_faber_pandharipande(2, (1, 2, 3, 4, 5)))
+    ok = ok and all_pass(verify.run("fp-identity"))
     _report(7, "sine-kernel coefficients and extracted-table identity", ok)
 
 
 def test_criterion_8_sign_convention():
-    table = extract_hodge_integrals(1, 1)
-    alternating = hurwitz_from_hodge(1, (1,), table)
-    plus = hurwitz_from_hodge(1, (1,), table, lambda_signs="plus")
-    ok = alternating == 0 and plus == F(1, 6)
+    signs = {c.key: c for c in _suite("hodge-roundtrip") if c.key.startswith("sign=")}
+    plus = signs["sign=plus/h(1;1)"]
+    ok = all_pass(signs.values()) and plus.expected == plus.actual == "1/6"
     _report(8, "alternating signs forced by h(1;1)=0 (plus variant gives 1/6)", ok)
 
 
 def test_criterion_9_property_suites():
     ok = True
     # normalization integrality: h * k! is a nonnegative integer
-    for g, mu, h in _pair_sweep():
-        scaled = h * factorial(sum(mu))
-        ok = ok and h >= 0 and scaled.denominator == 1
+    for k in range(1, 7):
+        for mu in partitions_of(k):
+            for g in range(3):
+                h = connected_hurwitz(g, mu)
+                ok = ok and h >= 0 and (h * factorial(k)).denominator == 1
     # profile-permutation invariance
     for profile in [(1, 2, 3), (2, 2, 1), (4, 1)]:
         for g in range(2):
