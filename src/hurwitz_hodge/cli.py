@@ -1,9 +1,13 @@
 """Command-line interface: Hurwitz numbers, integral tables, verify suites.
 
-Exit codes: 0 success, 1 bad arguments or unreadable input, 2 a work or
-size bound was exceeded, 3 an exact internal cross-check failed.  All
-values print as canonical rationals ("num/den", integers bare, zero as
-"0"); nothing is ever rounded.
+This module parses arguments and dispatches; the suites behind ``verify``
+live in ``hurwitz_hodge.verify``.
+
+Exit codes: 0 success, 1 bad arguments or unreadable input (including a
+``verify --cache`` file that does not exist), 2 a work or size bound was
+exceeded, 3 an exact internal cross-check failed.  All values print as
+canonical rationals ("num/den", integers bare, zero as "0"); nothing is
+ever rounded.
 """
 
 from __future__ import annotations

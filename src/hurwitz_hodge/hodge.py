@@ -263,6 +263,8 @@ def extract_hodge_integrals(
     if grid_bound is None:
         bound = minimal_grid_bound(g, n)
     else:
+        if not isinstance(grid_bound, int) or grid_bound < 1:
+            raise ValueError(f"grid_bound must be a positive integer, got {grid_bound!r}")
         bound = grid_bound
         if comb(bound + n - 1, n) <= len(keys):
             raise InfeasibleError(

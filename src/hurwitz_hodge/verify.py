@@ -1,6 +1,7 @@
 """Verification suites, one Check per fact.  Each sweep is enumerated once,
 here; the CLI's ``verify`` command and the acceptance tests both run it."""
 
+import os
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
@@ -63,9 +64,14 @@ def _degll(gmax, cache_path) -> list[Check]:
     keys = dict.fromkeys([*_engine_keys(), *((0, mu) for mu in _genus0_keys())])
     checks = [_degll_check(g, mu, engines.connected_hurwitz(g, mu)) for g, mu in keys]
     for record in cache_store.read_records(cache_path) if cache_path else ():
-        if record["kind"] == "hurwitz":
-            mu = tuple(int(x) for x in record["mu"].split(","))
-            checks.append(_degll_check(int(record["g"]), mu, Fraction(record["value"])))
+        if record["kind"] != "hurwitz":
+            continue
+        g, h = int(record["g"]), Fraction(record["value"])
+        mu = tuple(int(x) for x in record["mu"].split(","))
+        checks.append(_degll_check(g, mu, h))
+        if g == 0:  # integrality alone misses a wrong but integral sphere count
+            checks.append(make_check("degll", f"g=0/mu={_mu_text(mu)}/closed-form",
+                                     engines.genus_zero_closed_form(mu), h))
     return checks
 
 
@@ -104,5 +110,8 @@ SUITES = {
 
 def run(name: str, *, gmax: int = 2, cache_path: str | None = None) -> list[Check]:
     """All checks of the suite ``name``.  ``gmax`` is fp-identity's genus
-    budget; degll also checks the records of the cache at ``cache_path``."""
+    budget; degll also checks the records of the cache at ``cache_path``,
+    which must exist."""
+    if cache_path is not None and not os.path.exists(cache_path):
+        raise cache_store.CacheError(f"no cache file at {cache_path}")
     return SUITES[name](gmax, cache_path)

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from hurwitz_hodge import verify
 from hurwitz_hodge.cli import main
 from hurwitz_hodge.engines import genus_zero_closed_form
 
@@ -39,6 +40,9 @@ def test_bad_arguments_exit_1(capsys):
     assert main(["hurwitz", "--genus", "0", "--profile", "3", "--engine", "magic"]) == 1
     assert main(["verify", "nonsense"]) == 1
     assert main([]) == 1
+    for bound in ("-3", "0"):
+        code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--points", "1", "--grid-bound", bound)
+        assert code == 1 and "grid_bound must be a positive integer" in err
 
 
 def test_infeasible_exit_2(capsys):
@@ -129,11 +133,11 @@ def test_cache_version_mismatch_exit_1(capsys, tmp_path):
     assert code == 1 and "schema" in err
 
 
-def test_verify_suites_pass(capsys):
-    for suite in ("fp-identity", "degll"):
-        code, out, _ = run_cli(capsys, "verify", suite)
-        assert code == 0
-        assert out and all(line.endswith(" pass") for line in out.splitlines())
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_verify_suites_pass(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", suite)
+    assert code == 0
+    assert out and all(line.endswith(" pass") for line in out.splitlines())
 
 
 def test_verify_degll_flags_poisoned_cache(capsys, tmp_path):
@@ -144,7 +148,28 @@ def test_verify_degll_flags_poisoned_cache(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "degll", "--cache", str(cache))
     assert code == 3
     bad = [line for line in out.splitlines() if line.endswith(" fail")]
-    assert bad == ["degll g=0/mu=3 nonnegative-integer 3/7 fail"]
+    assert bad == [
+        "degll g=0/mu=3 nonnegative-integer 3/7 fail",
+        "degll g=0/mu=3/closed-form 1 1/7 fail",
+    ]
+
+
+def test_verify_degll_flags_integral_but_wrong_genus_zero_record(capsys, tmp_path):
+    # 5 * 3! * 1 is an integer, so only the closed form (4) catches it
+    cache = tmp_path / "cache.txt"
+    cache.write_text(
+        "schema=hurwitz-hodge-cache/1\nkind=hurwitz g=0 mu=1,1,1 engine=frobenius value=5\n"
+    )
+    code, out, _ = run_cli(capsys, "verify", "degll", "--cache", str(cache))
+    assert code == 3
+    bad = [line for line in out.splitlines() if line.endswith(" fail")]
+    assert bad == ["degll g=0/mu=1,1,1/closed-form 4 5 fail"]
+
+
+def test_verify_missing_cache_exit_1(capsys, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run_cli(capsys, "verify", "degll", "--cache", missing)
+    assert code == 1 and out == "" and missing in err
 
 
 def test_auto_engine_disagreement_exit_3(capsys, monkeypatch):
