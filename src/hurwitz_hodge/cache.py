@@ -18,15 +18,26 @@ _FIELD_ORDER = {
     "degll": ("kind", "g", "mu", "engine", "value"),
 }
 
+# fields a record of each kind is read by, beyond kind and value
+_REQUIRED = {
+    "hurwitz": ("g", "mu"),
+    "hodge": ("g", "n", "b", "j"),
+    "degll": ("g", "mu"),
+}
+
 
 class CacheError(ValueError):
-    """Unreadable cache file or unsupported schema version."""
+    """Unreadable cache file, unsupported schema version or incomplete record."""
 
 
 def read_records(path: str) -> list[dict[str, str]]:
-    """All records of a cache file as dicts; rejects bad schema lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    """All records of a cache file as dicts; rejects an unreadable file, a
+    bad schema line and a record lacking a field its kind needs."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except OSError as exc:
+        raise CacheError(f"cannot read cache file {path}: {exc.strerror or exc}") from exc
     if not lines or lines[0] != SCHEMA_LINE:
         found = lines[0] if lines else "<empty>"
         raise CacheError(f"unsupported cache schema: expected {SCHEMA_LINE!r}, found {found!r}")
@@ -42,6 +53,9 @@ def read_records(path: str) -> list[dict[str, str]]:
             record[field] = value
         if "kind" not in record or "value" not in record:
             raise CacheError(f"cache record on line {num} lacks kind/value: {line!r}")
+        for field in _REQUIRED.get(record["kind"], ()):
+            if field not in record:
+                raise CacheError(f"{record['kind']} record on line {num} lacks {field}: {line!r}")
         records.append(record)
     return records
 

@@ -82,10 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main and reused: parsing leaves no state on the
+# parser, and building it costs more than most commands
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -19,16 +19,28 @@ The 1/2 prefactors and the binomial convolution are pinned by requiring
 the hand-derived layers F_1 = p_2/2, F_2 = p_1^2/2 + p_3 and
 F_3 = p_2/2 + 4 p_1 p_2 + 4 p_4.  Monomials of weight above the truncation
 bound are dropped, so a layer list is valid only for |mu| <= kmax.
+
+Each step runs in integers.  Every coefficient of a truncated layer is
+h_{g;mu} with |mu| <= kmax, and k! h_{g;mu} counts transposition tuples, so
+the layer times kmax! is integral; ``cut_and_join_layer`` works on these
+numerators over the fixed denominator kmax!.  It builds each layer's table
+of first derivatives once and reads the second derivatives of the linear
+step off it.  In the quadratic term a coefficient of dF/dp_i at a monomial
+of weight w has a denominator dividing (w+i)!, and (w1+i)! (w2+j)! divides
+kmax!, so the product of two numerators is kmax! times an integer.  The
+step accumulates 2 F_r kmax!^2 exactly and divides by 2 kmax! once; a
+remainder there, or an input coefficient whose denominator does not divide
+kmax!, raises ``ConsistencyError``.  Nothing is rounded.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .engines import DEFAULT_R_BOUND, ramification_count
-from .errors import InfeasibleError
+from .errors import ConsistencyError, InfeasibleError
 from .partitions import check_profile
 
 DEFAULT_TRUNCATION = 10
@@ -37,64 +49,36 @@ DEFAULT_TRUNCATION = 10
 PPoly = dict[tuple[int, ...], Fraction]
 
 
-def _add_term(poly: PPoly, mono: tuple[int, ...], coeff: Fraction) -> None:
-    if not coeff:
-        return
-    new = poly.get(mono, 0) + coeff
-    if new:
-        poly[mono] = new
-    else:
-        poly.pop(mono, None)
+def _numerators(layer: PPoly, scale: int) -> dict[tuple[int, ...], int]:
+    """The layer times ``scale``, as integers; a coefficient whose
+    denominator does not divide ``scale`` cannot come from a truncated layer."""
+    out = {}
+    for mono, coeff in layer.items():
+        coeff = Fraction(coeff)
+        factor, rem = divmod(scale, coeff.denominator)
+        if rem:
+            raise ConsistencyError(
+                f"cut-and-join coefficient {coeff} of p_{mono} has a denominator not dividing {scale}"
+            )
+        if coeff:
+            out[mono] = coeff.numerator * factor
+    return out
 
 
-def _derivative(poly: PPoly, i: int) -> PPoly:
-    out: PPoly = {}
+def _first_derivatives(poly: dict[tuple[int, ...], int]):
+    """{i: d poly / d p_i} for every nonzero derivative, built in one pass,
+    each as (weight, monomial, coefficient) rows, lightest first."""
+    table: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
     for mono, coeff in poly.items():
-        m = mono.count(i)
-        if m:
-            reduced = list(mono)
-            reduced.remove(i)
-            _add_term(out, tuple(reduced), m * coeff)
-    return out
-
-
-def _mul(f: PPoly, g: PPoly, kmax: int) -> PPoly:
-    out: PPoly = {}
-    for m1, c1 in f.items():
-        w1 = sum(m1)
-        for m2, c2 in g.items():
-            if w1 + sum(m2) <= kmax:
-                _add_term(out, tuple(sorted(m1 + m2, reverse=True)), c1 * c2)
-    return out
-
-
-def _linear_step(poly: PPoly, kmax: int) -> PPoly:
-    out: PPoly = {}
-    # cut: (1/2) (i+j) p_i p_j d/dp_{i+j}, summed over ordered (i, j)
-    for s in range(2, kmax + 1):
-        ds = _derivative(poly, s)
-        if not ds:
-            continue
-        for i in range(1, s // 2 + 1):
-            j = s - i
-            factor = Fraction(s) if i != j else Fraction(s, 2)
-            for mono, coeff in ds.items():
-                if sum(mono) + s <= kmax:
-                    _add_term(out, tuple(sorted(mono + (i, j), reverse=True)), factor * coeff)
-    # join within a component: (1/2) i j p_{i+j} d^2/dp_i dp_j
-    for i in range(1, kmax):
-        di = _derivative(poly, i)
-        if not di:
-            continue
-        for j in range(i, kmax + 1 - i):
-            dij = _derivative(di, j)
-            if not dij:
-                continue
-            factor = Fraction(i * j) if i != j else Fraction(i * j, 2)
-            for mono, coeff in dij.items():
-                if sum(mono) + i + j <= kmax:
-                    _add_term(out, tuple(sorted(mono + (i + j,), reverse=True)), factor * coeff)
-    return out
+        weight = sum(mono)
+        for pos, i in enumerate(mono):
+            if pos and mono[pos - 1] == i:
+                continue  # monomials are weakly decreasing; take each part once
+            row = (weight - i, mono[:pos] + mono[pos + 1 :], mono.count(i) * coeff)
+            table.setdefault(i, []).append(row)
+    for rows in table.values():
+        rows.sort()
+    return table
 
 
 def cut_and_join_layer(layers: list[PPoly], kmax: int = DEFAULT_TRUNCATION) -> PPoly:
@@ -102,23 +86,64 @@ def cut_and_join_layer(layers: list[PPoly], kmax: int = DEFAULT_TRUNCATION) -> P
     if not layers:
         return {(1,): Fraction(1)}
     r = len(layers)
-    out = _linear_step(layers[-1], kmax)
-    half = Fraction(1, 2)
-    for a in range(r):
-        fa, fb = layers[a], layers[r - 1 - a]
-        weight = half * comb(r - 1, a)
-        for i in range(1, kmax):
-            da = _derivative(fa, i)
-            if not da:
-                continue
-            for j in range(1, kmax + 1 - i):
-                db = _derivative(fb, j)
-                if not db:
+    scale = factorial(kmax)
+    tables = [_first_derivatives(_numerators(layer, scale)) for layer in layers]
+    # ``doubled`` collects 2 F_r scale^2 from the numerators (each carrying
+    # one factor of scale): the linear step times scale, plus the join term
+    doubled: dict[tuple[int, ...], int] = {}
+    last = tables[-1]
+    # cut: (1/2) sum over ordered (i, j) of (i+j) p_i p_j dG/dp_{i+j}
+    for s, ds in last.items():
+        for i in range(1, s // 2 + 1):
+            factor = 2 * s if 2 * i != s else s
+            for _, mono, coeff in ds:
+                key = tuple(sorted(mono + (i, s - i), reverse=True))
+                doubled[key] = doubled.get(key, 0) + factor * scale * coeff
+    # join within a component: (1/2) sum over ordered (i, j) of
+    # i j p_{i+j} d^2 G / dp_i dp_j, the second derivatives taken from the
+    # first-derivative table (weight is unchanged, so nothing is truncated)
+    for i, di in last.items():
+        for _, mono, coeff in di:
+            for pos, j in enumerate(mono):
+                if j < i:
+                    break  # each unordered pair once, as (i, j) with j >= i
+                if pos and mono[pos - 1] == j:
                     continue
-                prod = _mul(da, db, kmax - i - j)
-                scalar = weight * i * j
-                for mono, coeff in prod.items():
-                    _add_term(out, tuple(sorted(mono + (i + j,), reverse=True)), scalar * coeff)
+                factor = 2 * i * j if i != j else i * i
+                rest = mono[:pos] + mono[pos + 1 :] + (i + j,)
+                key = tuple(sorted(rest, reverse=True))
+                doubled[key] = doubled.get(key, 0) + factor * mono.count(j) * scale * coeff
+    # join two components: sum over a of C(r-1, a) i j p_{i+j} dF_a/dp_i dF_b/dp_j;
+    # the (a, b) and (b, a) terms are equal after swapping i and j
+    for a in range((r + 1) // 2):
+        b = r - 1 - a
+        weight = comb(r - 1, a) * (2 if a != b else 1)
+        for i, da in tables[a].items():
+            for j, db in tables[b].items():
+                budget = kmax - i - j
+                if budget < 0:
+                    continue
+                ij = weight * i * j
+                for w1, m1, c1 in da:
+                    if w1 > budget:
+                        break
+                    room = budget - w1
+                    head = m1 + (i + j,)
+                    scalar = ij * c1
+                    for w2, m2, c2 in db:
+                        if w2 > room:
+                            break
+                        key = tuple(sorted(head + m2, reverse=True))
+                        doubled[key] = doubled.get(key, 0) + scalar * c2
+    out: PPoly = {}
+    for mono, total in doubled.items():
+        num, rem = divmod(total, 2 * scale)
+        if rem:
+            raise ConsistencyError(
+                f"cut-and-join layer {r}: coefficient of p_{mono} is not a multiple of 1/{scale}"
+            )
+        if num:
+            out[mono] = Fraction(num, scale)
     return out
 
 

@@ -53,3 +53,25 @@ def test_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(CacheError):
         read_records(str(path))
+
+
+def test_unreadable_path_rejected(tmp_path):
+    with pytest.raises(CacheError, match="cannot read cache file") as info:
+        read_records(str(tmp_path))
+    assert str(tmp_path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "record, missing",
+    [
+        ("kind=hurwitz value=1", "g"),
+        ("kind=hurwitz g=0 value=1", "mu"),
+        ("kind=degll g=1 engine=frobenius value=1", "mu"),
+        ("kind=hodge g=1 n=1 b=1 value=1/24", "j"),
+    ],
+)
+def test_record_lacking_field_rejected(tmp_path, record, missing):
+    path = tmp_path / "cache.txt"
+    path.write_text(f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=3 value=1\n{record}\n")
+    with pytest.raises(CacheError, match=f"line 3 lacks {missing}:"):
+        read_records(str(path))

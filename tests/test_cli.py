@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from hurwitz_hodge import verify
+from hurwitz_hodge import cli, verify
 from hurwitz_hodge.cli import main
 from hurwitz_hodge.engines import genus_zero_closed_form
 
@@ -170,6 +170,61 @@ def test_verify_missing_cache_exit_1(capsys, tmp_path):
     missing = str(tmp_path / "missing.txt")
     code, out, err = run_cli(capsys, "verify", "degll", "--cache", missing)
     assert code == 1 and out == "" and missing in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hurwitz", "--genus", "0", "--profile", "3"),
+        ("hodge", "--genus", "1", "--points", "1"),
+        ("verify", "degll"),
+    ],
+)
+def test_cache_directory_exit_1(tmp_path, argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "hurwitz_hodge", *argv, "--cache", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert f"cannot read cache file {tmp_path}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_cache_record_lacking_field_exit_1(capsys, tmp_path):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("schema=hurwitz-hodge-cache/1\nkind=hurwitz value=1\n")
+    for argv in (("verify", "degll"), ("hurwitz", "--genus", "0", "--profile", "3")):
+        code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (1, "")
+        assert "line 2 lacks g" in err
+    assert cache.read_text() == "schema=hurwitz-hodge-cache/1\nkind=hurwitz value=1\n"
+
+
+def test_reused_parser_carries_no_state(capsys, monkeypatch):
+    sequence = [
+        ("hurwitz", "--genus", "0", "--profile", "2,2", "--engine", "brute", "--format", "record"),
+        # auto answers 7 sheets, which brute force refuses with exit 2
+        ("hurwitz", "--genus", "0", "--profile", "7", "--format", "record"),
+        ("hurwitz", "--genus", "0", "--profile", "2,1"),
+        ("hurwitz", "--genus", "0", "--profile", "3", "--engine", "magic"),
+        ("hurwitz", "--genus", "1", "--profile", "2"),
+        ("verify", "genus0"),
+        ("hodge", "--genus", "1", "--points", "1", "--format", "table"),
+        ("hodge", "--genus", "1", "--points", "1"),
+    ]
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run_cli(capsys, *argv))
+    assert [result[0] for result in fresh] == [0, 0, 0, 1, 0, 0, 0, 0]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [run_cli(capsys, *sequence[0])]
+    parser = cli._PARSER
+    reused += [run_cli(capsys, *argv) for argv in sequence[1:]]
+    assert cli._PARSER is parser
+    assert reused == fresh
 
 
 def test_auto_engine_disagreement_exit_3(capsys, monkeypatch):

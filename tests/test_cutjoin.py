@@ -11,7 +11,7 @@ from hurwitz_hodge.cutjoin import (
     cut_and_join_layers,
 )
 from hurwitz_hodge.engines import connected_hurwitz, ramification_count
-from hurwitz_hodge.errors import InfeasibleError
+from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
 from hurwitz_hodge.partitions import partitions_of
 
 F = Fraction
@@ -113,3 +113,26 @@ def test_ramification_consistency():
     r = ramification_count(1, mu)
     layers = cut_and_join_layers(r, kmax=6)
     assert layers[r][(2, 1)] == connected_hurwitz(1, mu)
+
+
+def test_every_coefficient_matches_character_engine():
+    # at kmax = 9 the largest genus-2 layer is r = 9 + 9 + 2 (mu = 1^9); each
+    # layer must hold exactly the nonzero h_{g;mu} of its r, |mu| <= 9
+    kmax, rmax = 9, 20
+    layers = cut_and_join_layers(rmax, kmax=kmax)
+    profiles = [mu for k in range(1, kmax + 1) for mu in partitions_of(k)]
+    for r, layer in enumerate(layers):
+        expected = {}
+        for mu in profiles:
+            twice_genus = r - sum(mu) - len(mu) + 2
+            if twice_genus >= 0 and twice_genus % 2 == 0:
+                h = connected_hurwitz(twice_genus // 2, mu, k_bound=kmax, r_bound=rmax)
+                if h:
+                    expected[tuple(sorted(mu, reverse=True))] = h
+        assert layer == expected, r
+
+
+def test_layer_outside_denominator_raises():
+    # a coefficient with denominator 7 cannot occur in a layer truncated at 6
+    with pytest.raises(ConsistencyError, match="denominator"):
+        cut_and_join_layer([{(1,): F(1)}, {(2,): F(1, 7)}], kmax=6)
