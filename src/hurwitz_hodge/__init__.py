@@ -37,10 +37,6 @@ from .hodge import (
 from .partitions import Partition, aut_count, check_profile, partitions_of, z_order
 from .series import (
     hodge_side_coefficient,
-    series_add,
-    series_multiply,
-    series_power,
-    series_reciprocal,
     sine_kernel,
     verify_faber_pandharipande,
 )
@@ -74,10 +70,6 @@ __all__ = [
     "extract_hodge_integrals",
     "hurwitz_from_hodge",
     "is_stable",
-    "series_add",
-    "series_multiply",
-    "series_power",
-    "series_reciprocal",
     "sine_kernel",
     "hodge_side_coefficient",
     "verify_faber_pandharipande",

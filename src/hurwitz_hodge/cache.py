@@ -60,6 +60,24 @@ def read_records(path: str) -> list[dict[str, str]]:
     return records
 
 
+def parse_field(path: str, record: dict[str, str], field: str, parse):
+    """``parse(record[field])``, read where the value is used; a value that
+    ``parse`` rejects raises a CacheError naming the file and the record."""
+    try:
+        return parse(record[field])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CacheError(
+            f"bad {field} in cache file {path}, record {_line(record)!r}: {exc}"
+        ) from exc
+
+
+def _line(record: dict[str, str]) -> str:
+    order = _FIELD_ORDER.get(record.get("kind"), ())
+    fields = [f"{name}={record[name]}" for name in order if name in record]
+    fields += [f"{name}={record[name]}" for name in sorted(record) if name not in order]
+    return " ".join(fields)
+
+
 def append_records(path: str, records) -> None:
     """Append records, writing the schema header first on a fresh file."""
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
@@ -67,9 +85,4 @@ def append_records(path: str, records) -> None:
         if fresh:
             fh.write(SCHEMA_LINE + "\n")
         for record in records:
-            order = _FIELD_ORDER.get(record.get("kind"), ())
-            fields = [f"{name}={record[name]}" for name in order if name in record]
-            fields += [
-                f"{name}={record[name]}" for name in sorted(record) if name not in order
-            ]
-            fh.write(" ".join(fields) + "\n")
+            fh.write(_line(record) + "\n")

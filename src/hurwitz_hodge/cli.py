@@ -154,7 +154,7 @@ def _cmd_hurwitz(args) -> int:
                 cached = record
                 break
     if cached is not None:
-        value = Fraction(cached["value"])
+        value = cache_store.parse_field(args.cache, cached, "value", Fraction)
     else:
         value, engine_used = _compute_hurwitz(args, g, profile)
         if args.cache:
@@ -190,7 +190,7 @@ def _cmd_hodge(args) -> int:
         if all(hit is not None for hit in hits):
             table = hodge.HodgeTable()
             for (j, b), hit in zip(keys, hits):
-                table.set(g, n, b, j, Fraction(hit["value"]))
+                table.set(g, n, b, j, cache_store.parse_field(args.cache, hit, "value", Fraction))
     if table is None:
         table = hodge.extract_hodge_integrals(
             g, n, grid_bound=args.grid_bound, k_bound=args.kmax, r_bound=args.rmax

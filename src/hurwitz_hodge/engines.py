@@ -86,19 +86,13 @@ def _bell(k: int) -> int:
 
 
 def _merge_labels(labels: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    # each block is labelled by its least sheet, so merging keeps the
+    # smaller label and the labelling stays canonical
     la, lb = labels[a], labels[b]
     if la == lb:
         return labels
     keep, drop = (la, lb) if la < lb else (lb, la)
-    raw = [keep if lab == drop else lab for lab in labels]
-    # re-canonicalize block ids by first appearance
-    remap: dict[int, int] = {}
-    out = []
-    for lab in raw:
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out.append(remap[lab])
-    return tuple(out)
+    return tuple(keep if lab == drop else lab for lab in labels)
 
 
 # per sheet count k: summaries[r] maps a cycle type to the number of

@@ -218,6 +218,14 @@ def _design_matrix(keys, points) -> list[list[int]]:
     return [[(-1) ** j * _monomial_sum(b, point) for j, b in keys] for point in points]
 
 
+def _count_floor(unknowns: int, n: int) -> int:
+    """Smallest B whose sorted grid in {1..B}^n has unknowns + n points."""
+    bound = 1
+    while comb(bound + n - 1, n) < unknowns + n:
+        bound += 1
+    return bound
+
+
 def minimal_grid_bound(g: int, n: int) -> int:
     """Smallest B whose sorted grid in {1..B}^n both has #unknowns + n
     points (surplus rows for residual checking) and gives the unknowns a
@@ -230,10 +238,7 @@ def minimal_grid_bound(g: int, n: int) -> int:
     The rank probe needs no covering counts, so this is cheap.
     """
     keys = hodge_keys(g, n)
-    need = len(keys) + n
-    bound = 1
-    while comb(bound + n - 1, n) < need:
-        bound += 1
+    bound = _count_floor(len(keys), n)
     while column_rank(
         _design_matrix(keys, combinations_with_replacement(range(1, bound + 1), n))
     ) < len(keys):
@@ -261,7 +266,7 @@ def extract_hodge_integrals(
     _require_stable(g, n)
     keys = hodge_keys(g, n)
     if grid_bound is None:
-        bound = minimal_grid_bound(g, n)
+        bound = _count_floor(len(keys), n)
     else:
         if not isinstance(grid_bound, int) or grid_bound < 1:
             raise ValueError(f"grid_bound must be a positive integer, got {grid_bound!r}")
@@ -278,6 +283,12 @@ def extract_hodge_integrals(
     # for it first lets the engine reject a bound it cannot serve before the
     # C(B + n - 1, n) grid points are listed.  It is the last grid point.
     corner = hurwitz(g, (bound,) * n)
+    if grid_bound is None:
+        # the rank probe starts at the count floor, whose corner lies on
+        # every grid the probe can return, so it was asked for first
+        floor, bound = bound, minimal_grid_bound(g, n)
+        if bound != floor:
+            corner = hurwitz(g, (bound,) * n)
     points = list(combinations_with_replacement(range(1, bound + 1), n))
     matrix = _design_matrix(keys, points)
     counts = [hurwitz(g, point) for point in points[:-1]] + [corner]

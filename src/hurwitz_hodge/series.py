@@ -1,9 +1,6 @@
-"""Truncated formal power series over exact rationals, and the one-pole
-identity between extracted integrals and the sine kernel.
+"""The one-pole identity between extracted integrals and the sine kernel.
 
-A series is a plain list of Fractions [c_0, ..., c_N]; every operation
-takes the order N explicitly and is exact and closed at that order.  The
-identity checked here: for each k >= 1,
+For each k >= 1,
 
     1 + sum_{g>=1} t^{2g} sum_{j=0}^{g} k^{g-j} <psi^{3g-2-j} lambda_j>_{g,1}
         = (t/2 / sin(t/2))^{k+1},
@@ -12,6 +9,15 @@ where the one-pole integrals come out of the extraction module.  Note the
 plus signs on the left: this one-pole statement and the alternating-sign
 covering-count expansion are different normalizations, and both are pinned
 by the tests.
+
+The right side is s^{-(k+1)} with s = sin(t/2)/(t/2) =
+sum_m (-1)^m t^{2m} / (4^m (2m+1)!).  Its coefficients come from J.C.P.
+Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7): since
+s_0 = 1, c_0 = 1 and
+
+    c_m = -(1/m) sum_{i even, 2 <= i <= m} (k i + m) s_i c_{m-i},
+
+exactly, in Fractions.
 """
 
 from __future__ import annotations
@@ -21,57 +27,6 @@ from math import factorial
 
 from .hodge import HodgeTable, extract_hodge_integrals
 from .report import Check, make_check
-
-
-def _fit(series, order: int) -> list[Fraction]:
-    out = [Fraction(c) for c in series[: order + 1]]
-    out.extend([Fraction(0)] * (order + 1 - len(out)))
-    return out
-
-
-def series_add(a, b, order: int) -> list[Fraction]:
-    return [x + y for x, y in zip(_fit(a, order), _fit(b, order))]
-
-
-def series_multiply(a, b, order: int) -> list[Fraction]:
-    """Cauchy product truncated at the given order."""
-    a, b = _fit(a, order), _fit(b, order)
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(order + 1 - i):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-
-def series_power(base, exponent: int, order: int) -> list[Fraction]:
-    """Integer power by binary exponentiation, truncated at the order."""
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = _fit([Fraction(1)], order)
-    square = _fit(base, order)
-    e = exponent
-    while e:
-        if e & 1:
-            result = series_multiply(result, square, order)
-        e >>= 1
-        if e:
-            square = series_multiply(square, square, order)
-    return result
-
-
-def series_reciprocal(a, order: int) -> list[Fraction]:
-    """1/a truncated at the order; requires an invertible constant term."""
-    a = _fit(a, order)
-    if a[0] == 0:
-        raise ValueError("series with zero constant term has no reciprocal")
-    out = [Fraction(0)] * (order + 1)
-    out[0] = 1 / a[0]
-    for m in range(1, order + 1):
-        out[m] = -sum(a[i] * out[m - i] for i in range(1, m + 1)) / a[0]
-    return out
 
 
 def sine_kernel(k: int, order: int) -> list[Fraction]:
@@ -84,10 +39,12 @@ def sine_kernel(k: int, order: int) -> list[Fraction]:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if order < 2 or order % 2:
         raise ValueError("order must be even and at least 2")
-    s = [Fraction(0)] * (order + 1)
-    for m in range(order // 2 + 1):
-        s[2 * m] = Fraction((-1) ** m, 4 ** m * factorial(2 * m + 1))
-    return series_power(series_reciprocal(s, order), k + 1, order)
+    s = {i: Fraction((-1) ** (i // 2), 2 ** i * factorial(i + 1)) for i in range(2, order + 1, 2)}
+    c = [Fraction(0)] * (order + 1)
+    c[0] = Fraction(1)
+    for m in range(2, order + 1, 2):
+        c[m] = -sum((k * i + m) * s[i] * c[m - i] for i in range(2, m + 1, 2)) / m
+    return c
 
 
 def hodge_side_coefficient(g: int, k: int, table: HodgeTable) -> Fraction:
@@ -109,28 +66,22 @@ def verify_faber_pandharipande(
     k_values=(1, 2, 3, 4, 5),
     *,
     tables: dict[int, HodgeTable] | None = None,
-    hurwitz=None,
-    order: int | None = None,
 ) -> list[Check]:
     """Compare extracted one-pole integrals against the sine kernel for all
     g <= g_max and k in k_values; one Check per pair, never partial silence.
 
     ``tables`` may supply precomputed one-pole tables per genus; anything
-    missing is extracted on the fly (``hurwitz`` is forwarded).  The series
-    order defaults to 2 g_max + 2, one spare even coefficient past the last
-    one used.
+    missing is extracted on the fly with the default engine.
     """
     if g_max < 1:
         raise ValueError("g_max must be at least 1")
-    if order is None:
-        order = 2 * g_max + 2
-    kernels = {k: sine_kernel(k, order) for k in k_values}
+    kernels = {k: sine_kernel(k, 2 * g_max) for k in k_values}
     checks = []
     for g in range(1, g_max + 1):
         if tables and g in tables:
             table = tables[g]
         else:
-            table = extract_hodge_integrals(g, 1, hurwitz=hurwitz)
+            table = extract_hodge_integrals(g, 1)
         for k in k_values:
             lhs = hodge_side_coefficient(g, k, table)
             rhs = kernels[k][2 * g]

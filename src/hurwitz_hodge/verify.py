@@ -17,6 +17,10 @@ def _mu_text(mu) -> str:
     return ",".join(map(str, mu))
 
 
+def _parse_mu(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def _engine_keys():
     """(g, mu) for k <= 5 up to r = k + n + 2g - 2 = 12, then for the
     partitions of 6 at g <= 2."""
@@ -66,8 +70,9 @@ def _degll(gmax, cache_path) -> list[Check]:
     for record in cache_store.read_records(cache_path) if cache_path else ():
         if record["kind"] != "hurwitz":
             continue
-        g, h = int(record["g"]), Fraction(record["value"])
-        mu = tuple(int(x) for x in record["mu"].split(","))
+        g = cache_store.parse_field(cache_path, record, "g", int)
+        h = cache_store.parse_field(cache_path, record, "value", Fraction)
+        mu = cache_store.parse_field(cache_path, record, "mu", _parse_mu)
         checks.append(_degll_check(g, mu, h))
         if g == 0:  # integrality alone misses a wrong but integral sphere count
             checks.append(make_check("degll", f"g=0/mu={_mu_text(mu)}/closed-form",

@@ -202,6 +202,31 @@ def test_cache_record_lacking_field_exit_1(capsys, tmp_path):
     assert cache.read_text() == "schema=hurwitz-hodge-cache/1\nkind=hurwitz value=1\n"
 
 
+@pytest.mark.parametrize(
+    "record, argv, field",
+    [
+        ("kind=hurwitz g=0 mu=3 engine=frobenius value=oops",
+         ("hurwitz", "--genus", "0", "--profile", "3"), "value"),
+        ("kind=hurwitz g=0 mu=3 engine=frobenius value=1/0",
+         ("hurwitz", "--genus", "0", "--profile", "3"), "value"),
+        ("kind=hodge g=1 n=1 b=1 j=0 engine=extraction value=oops",
+         ("hodge", "--genus", "1", "--points", "1"), "value"),
+        ("kind=hurwitz g=zero mu=3 engine=frobenius value=1", ("verify", "degll"), "g"),
+        ("kind=hurwitz g=0 mu=3,x engine=frobenius value=1", ("verify", "degll"), "mu"),
+    ],
+    ids=["hurwitz-value", "hurwitz-zero-denominator", "hodge-value", "degll-g", "degll-mu"],
+)
+def test_cache_malformed_field_names_file_and_record(capsys, tmp_path, record, argv, field):
+    cache = tmp_path / "cache.txt"
+    lines = ["schema=hurwitz-hodge-cache/1", record]
+    if argv[0] == "hodge":  # the table is read from the cache only when complete
+        lines.append("kind=hodge g=1 n=1 b=0 j=1 engine=extraction value=1/24")
+    cache.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert (code, out) == (1, "")
+    assert f"bad {field} in cache file {cache}, record {record!r}" in err
+
+
 def test_reused_parser_carries_no_state(capsys, monkeypatch):
     sequence = [
         ("hurwitz", "--genus", "0", "--profile", "2,2", "--engine", "brute", "--format", "record"),
@@ -261,6 +286,18 @@ def test_huge_grid_bound_fails_fast():
     result = subprocess.run(
         [sys.executable, "-m", "hurwitz_hodge", "hodge", "--genus", "1", "--points", "3",
          "--grid-bound", "1000000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "exceeds bound" in result.stderr
+
+
+def test_infeasible_default_grid_fails_fast():
+    # the count-floor corner trips the engine's bound before the rank probe
+    result = subprocess.run(
+        [sys.executable, "-m", "hurwitz_hodge", "hodge", "--genus", "5", "--points", "4"],
         capture_output=True,
         text=True,
         timeout=60,
