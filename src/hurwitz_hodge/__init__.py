@@ -34,7 +34,7 @@ from .hodge import (
     prefactor,
     weight_w,
 )
-from .partitions import Partition, aut_count, check_profile, partitions_of, z_order
+from .partitions import aut_count, check_partition, check_profile, partitions_of, z_order
 from .series import (
     hodge_side_coefficient,
     sine_kernel,
@@ -44,8 +44,8 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Partition",
     "aut_count",
+    "check_partition",
     "check_profile",
     "partitions_of",
     "z_order",

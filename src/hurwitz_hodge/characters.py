@@ -11,11 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .partitions import Partition
-
-
-def _validated(parts) -> tuple[int, ...]:
-    return tuple(Partition(parts))
+from .partitions import check_partition
 
 
 def _conjugate(lam: tuple[int, ...]) -> list[int]:
@@ -32,7 +28,7 @@ def irrep_dimension(lam) -> int:
     Hook-length formula; the product of hooks always divides k!, so the
     division at the end is exact.
     """
-    lam = _validated(lam)
+    lam = check_partition(lam)
     if not lam:
         return 1
     conj = _conjugate(lam)
@@ -48,7 +44,7 @@ def character_value(lam, mu) -> int:
 
     Both arguments must partition the same integer.
     """
-    lam, mu = _validated(lam), _validated(mu)
+    lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"shape {lam} and class {mu} must partition the same integer")
     return _border_strip(lam, mu)
@@ -82,5 +78,5 @@ def content_eigenvalue(lam) -> int:
     The sum of all transpositions acts on the irreducible indexed by lam as
     this scalar, which is what powers the class-algebra Hurwitz engine.
     """
-    lam = _validated(lam)
+    lam = check_partition(lam)
     return sum(row * (row - 1 - 2 * i) for i, row in enumerate(lam)) // 2

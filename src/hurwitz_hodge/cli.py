@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import cache as cache_store
 from . import cutjoin, engines, hodge, verify
 from .errors import ConsistencyError, InfeasibleError
+from .partitions import parse_profile
 from .report import all_pass
 
 EXIT_OK = 0
@@ -36,14 +37,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_profile(text: str) -> tuple[int, ...]:
+def _bound(text: str) -> int:
+    # engine bounds: zero is a real bound (--rmax 0 serves h(0; 1)), a
+    # negative one is a usage error naming the flag
     try:
-        profile = tuple(int(part) for part in text.split(","))
+        value = int(text)
     except ValueError:
-        raise ValueError(f"profile must be comma-separated integers, got {text!r}") from None
-    if not profile or any(p < 1 for p in profile):
-        raise ValueError(f"profile entries must be positive, got {text!r}")
-    return profile
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,12 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     hur.add_argument("--engine", choices=("auto", "brute", "frobenius", "cutjoin"), default="auto")
     hur.add_argument("--format", choices=("value", "record"), default="value")
     hur.add_argument("--cache", help="append-only cache file")
-    hur.add_argument("--brute-sheets", type=int, default=engines.DEFAULT_SHEET_BOUND)
-    hur.add_argument("--brute-work", type=int, default=engines.DEFAULT_WORK_BOUND)
-    hur.add_argument("--kmax", type=int, default=engines.DEFAULT_K_BOUND,
+    hur.add_argument("--brute-sheets", type=_bound, default=engines.DEFAULT_SHEET_BOUND)
+    hur.add_argument("--brute-work", type=_bound, default=engines.DEFAULT_WORK_BOUND)
+    hur.add_argument("--kmax", type=_bound, default=engines.DEFAULT_K_BOUND,
                      help="sheet bound for the character engine")
-    hur.add_argument("--rmax", type=int, default=engines.DEFAULT_R_BOUND)
-    hur.add_argument("--cutjoin-kmax", type=int, default=cutjoin.DEFAULT_TRUNCATION)
+    hur.add_argument("--rmax", type=_bound, default=engines.DEFAULT_R_BOUND)
+    hur.add_argument("--cutjoin-kmax", type=_bound, default=cutjoin.DEFAULT_TRUNCATION)
     hur.set_defaults(func=_cmd_hurwitz)
 
     hdg = sub.add_parser("hodge", help="extract a table of psi/lambda integrals")
@@ -70,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     hdg.add_argument("--grid-bound", type=int, default=None)
     hdg.add_argument("--format", choices=("records", "table"), default="records")
     hdg.add_argument("--cache", help="append-only cache file")
-    hdg.add_argument("--kmax", type=int, default=engines.DEFAULT_K_BOUND)
-    hdg.add_argument("--rmax", type=int, default=engines.DEFAULT_R_BOUND)
+    hdg.add_argument("--kmax", type=_bound, default=engines.DEFAULT_K_BOUND)
+    hdg.add_argument("--rmax", type=_bound, default=engines.DEFAULT_R_BOUND)
     hdg.set_defaults(func=_cmd_hodge)
 
     ver = sub.add_parser("verify", help="run one verification suite")
@@ -144,7 +147,7 @@ def _compute_hurwitz(args, g: int, profile) -> tuple[Fraction, str]:
 
 
 def _cmd_hurwitz(args) -> int:
-    profile = _parse_profile(args.profile)
+    profile = parse_profile(args.profile)
     g = args.genus
     mu_text = ",".join(map(str, sorted(profile, reverse=True)))
     cached = None

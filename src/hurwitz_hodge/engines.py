@@ -166,9 +166,7 @@ def brute_force_hurwitz(
 
 @lru_cache(maxsize=None)
 def _char_data(k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    return tuple(
-        (tuple(lam), irrep_dimension(lam), content_eigenvalue(lam)) for lam in partitions_of(k)
-    )
+    return tuple((lam, irrep_dimension(lam), content_eigenvalue(lam)) for lam in partitions_of(k))
 
 
 @lru_cache(maxsize=None)

@@ -121,7 +121,7 @@ def hodge_keys(g: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
             continue
         for lam in partitions_of(s):
             if len(lam) <= n:
-                keys.append((j, tuple(sorted(tuple(lam) + (0,) * (n - len(lam))))))
+                keys.append((j, tuple(sorted(lam + (0,) * (n - len(lam))))))
     return keys
 
 
@@ -265,33 +265,27 @@ def extract_hodge_integrals(
     """
     _require_stable(g, n)
     keys = hodge_keys(g, n)
-    if grid_bound is None:
-        bound = _count_floor(len(keys), n)
-    else:
-        if not isinstance(grid_bound, int) or grid_bound < 1:
-            raise ValueError(f"grid_bound must be a positive integer, got {grid_bound!r}")
-        bound = grid_bound
-        if comb(bound + n - 1, n) <= len(keys):
-            raise InfeasibleError(
-                f"grid too small: {comb(bound + n - 1, n)} sorted points in"
-                f" {{1..{bound}}}^{n} cannot overdetermine {len(keys)} unknowns"
-            )
+    if grid_bound is not None and (not isinstance(grid_bound, int) or grid_bound < 1):
+        raise ValueError(f"grid_bound must be a positive integer, got {grid_bound!r}")
+    # the count floor always has enough points; an explicit bound may not
+    bound = _count_floor(len(keys), n) if grid_bound is None else grid_bound
+    if comb(bound + n - 1, n) <= len(keys):
+        raise InfeasibleError(
+            f"grid too small: {comb(bound + n - 1, n)} sorted points in"
+            f" {{1..{bound}}}^{n} cannot overdetermine {len(keys)} unknowns"
+        )
     if hurwitz is None:
         def hurwitz(gg, prof):
             return engines.connected_hurwitz(gg, prof, k_bound=k_bound, r_bound=r_bound)
     # The corner (B, ..., B) has the largest k and r on the grid, so asking
     # for it first lets the engine reject a bound it cannot serve before the
-    # C(B + n - 1, n) grid points are listed.  It is the last grid point.
-    corner = hurwitz(g, (bound,) * n)
+    # rank probe runs or the C(B + n - 1, n) grid points are listed.
+    hurwitz(g, (bound,) * n)
     if grid_bound is None:
-        # the rank probe starts at the count floor, whose corner lies on
-        # every grid the probe can return, so it was asked for first
-        floor, bound = bound, minimal_grid_bound(g, n)
-        if bound != floor:
-            corner = hurwitz(g, (bound,) * n)
+        bound = minimal_grid_bound(g, n)
     points = list(combinations_with_replacement(range(1, bound + 1), n))
     matrix = _design_matrix(keys, points)
-    counts = [hurwitz(g, point) for point in points[:-1]] + [corner]
+    counts = [hurwitz(g, point) for point in points]
     rhs = [Fraction(h) / prefactor(g, point) for h, point in zip(counts, points)]
     try:
         solution = solve_exact(matrix, rhs)

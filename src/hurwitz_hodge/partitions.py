@@ -1,41 +1,19 @@
 """Integer partitions, pole profiles, and conjugacy-class bookkeeping.
 
-A partition (weakly decreasing positive parts) labels a conjugacy class of
-the symmetric group on k = sum of parts letters, or an unordered multiset of
-pole orders.  A pole profile is the ordered variant: a plain tuple of
+A partition is a plain tuple of weakly decreasing positive integers; it
+labels a conjugacy class of the symmetric group on k = sum of parts
+letters, or an unordered multiset of pole orders, and () is the empty
+partition.  A pole profile is the ordered variant: a plain tuple of
 positive integers that keeps its positions, so inclusion-exclusion over
-labeled poles can address individual entries.
+labeled poles can address individual entries.  ``check_partition`` and
+``check_profile`` validate tuples arriving from outside the package;
+``partitions_of`` builds valid ones and does not check them again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import factorial
-
-
-class Partition(tuple):
-    """Weakly decreasing tuple of positive integers; () is the empty partition."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts=()):
-        parts = tuple(parts)
-        for i, p in enumerate(parts):
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"partition parts must be positive integers, got {p!r}")
-            if i and parts[i - 1] < p:
-                raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
-        return super().__new__(cls, parts)
-
-    @classmethod
-    def from_profile(cls, orders) -> "Partition":
-        """The class label of a pole profile: same orders, sorted."""
-        return cls(sorted(orders, reverse=True))
-
-    @property
-    def size(self) -> int:
-        """Sum of the parts (number of sheets when read as pole orders)."""
-        return sum(self)
 
 
 def check_profile(orders) -> tuple[int, ...]:
@@ -49,7 +27,30 @@ def check_profile(orders) -> tuple[int, ...]:
     return profile
 
 
-def partitions_of(k: int) -> list[Partition]:
+def check_partition(parts) -> tuple[int, ...]:
+    """Validate a partition: weakly decreasing positive integers; () is the
+    empty partition."""
+    parts = tuple(parts)
+    for i, p in enumerate(parts):
+        if not isinstance(p, int) or p < 1:
+            raise ValueError(f"partition parts must be positive integers, got {p!r}")
+        if i and parts[i - 1] < p:
+            raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
+    return parts
+
+
+def parse_profile(text: str) -> tuple[int, ...]:
+    """A pole profile written as comma-separated positive integers, e.g. "2,1,1"."""
+    try:
+        profile = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"profile must be comma-separated integers, got {text!r}") from None
+    if not profile or any(p < 1 for p in profile):
+        raise ValueError(f"profile entries must be positive, got {text!r}")
+    return profile
+
+
+def partitions_of(k: int) -> list[tuple[int, ...]]:
     """All partitions of k, each exactly once, in lexicographically
     descending order: partitions_of(3) == [(3,), (2, 1), (1, 1, 1)].
 
@@ -57,11 +58,11 @@ def partitions_of(k: int) -> list[Partition]:
     """
     if k < 0:
         raise ValueError("cannot partition a negative integer")
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
 
     def descend(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(prefix)
             return
         for part in range(min(remaining, largest), 0, -1):
             descend(remaining - part, part, prefix + (part,))

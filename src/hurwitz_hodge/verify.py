@@ -9,7 +9,7 @@ from math import prod
 from . import cache as cache_store
 from . import cutjoin, engines, hodge, series
 from .errors import ConsistencyError
-from .partitions import aut_count, partitions_of
+from .partitions import aut_count, parse_profile, partitions_of
 from .report import Check, make_check
 
 
@@ -17,8 +17,11 @@ def _mu_text(mu) -> str:
     return ",".join(map(str, mu))
 
 
-def _parse_mu(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _parse_genus(text: str) -> int:
+    g = int(text)
+    if g < 0:
+        raise ValueError(f"genus must be a nonnegative integer, got {g}")
+    return g
 
 
 def _engine_keys():
@@ -70,9 +73,9 @@ def _degll(gmax, cache_path) -> list[Check]:
     for record in cache_store.read_records(cache_path) if cache_path else ():
         if record["kind"] != "hurwitz":
             continue
-        g = cache_store.parse_field(cache_path, record, "g", int)
+        g = cache_store.parse_field(cache_path, record, "g", _parse_genus)
         h = cache_store.parse_field(cache_path, record, "value", Fraction)
-        mu = cache_store.parse_field(cache_path, record, "mu", _parse_mu)
+        mu = cache_store.parse_field(cache_path, record, "mu", parse_profile)
         checks.append(_degll_check(g, mu, h))
         if g == 0:  # integrality alone misses a wrong but integral sphere count
             checks.append(make_check("degll", f"g=0/mu={_mu_text(mu)}/closed-form",

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from hurwitz_hodge.cache import SCHEMA_LINE, CacheError, append_records, read_records
@@ -20,7 +22,7 @@ def test_header_written_once(tmp_path):
     path = str(tmp_path / "cache.txt")
     append_records(path, [{"kind": "hurwitz", "g": "0", "mu": "3", "engine": "brute", "value": "1"}])
     append_records(path, [{"kind": "hurwitz", "g": "1", "mu": "3", "engine": "brute", "value": "4"}])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == SCHEMA_LINE
     assert sum(line.startswith("schema=") for line in lines) == 1
 
@@ -28,7 +30,7 @@ def test_header_written_once(tmp_path):
 def test_deterministic_field_order(tmp_path):
     path = str(tmp_path / "cache.txt")
     append_records(path, [{"value": "4", "mu": "2,1", "kind": "hurwitz", "engine": "brute", "g": "0"}])
-    assert open(path).read().splitlines()[1] == "kind=hurwitz g=0 mu=2,1 engine=brute value=4"
+    assert Path(path).read_text().splitlines()[1] == "kind=hurwitz g=0 mu=2,1 engine=brute value=4"
 
 
 def test_version_mismatch_rejected(tmp_path):

@@ -79,6 +79,25 @@ def test_character_on_identity_is_dimension():
             assert character_value(lam, identity) == irrep_dimension(lam)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1, 2), r"partition parts must be weakly decreasing, got \(1, 2\)"),
+        ((2, 0), "partition parts must be positive integers, got 0"),
+        ((2, -1), "partition parts must be positive integers, got -1"),
+    ],
+)
+def test_invalid_shapes_rejected(bad, message):
+    for call in (
+        lambda: character_value(bad, (1,) * sum(bad)),
+        lambda: character_value((sum(bad),), bad),
+        lambda: irrep_dimension(bad),
+        lambda: content_eigenvalue(bad),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_character_size_mismatch_rejected():
     with pytest.raises(ValueError):
         character_value((2, 1), (2, 2))

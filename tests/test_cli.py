@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +59,25 @@ def test_raised_bounds_via_flags(capsys):
     # one-pole genus 0 is k^(k-3); for k = 11 that is 11^8
     code, out, _ = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "11", "--kmax", "11")
     assert code == 0 and out == f"{11 ** 8}\n"
+    # a zero bound is a bound: h(0; 1) needs no transposition
+    assert run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "1", "--rmax", "0") == (0, "1\n", "")
+
+
+BOUNDED_QUERIES = {
+    "hurwitz": ("--genus", "0", "--profile", "2,1"),
+    "hodge": ("--genus", "1", "--points", "1"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("hurwitz", flag) for flag in ("--kmax", "--rmax", "--brute-sheets", "--brute-work", "--cutjoin-kmax")]
+    + [("hodge", "--kmax"), ("hodge", "--rmax")],
+)
+def test_negative_bound_exit_1(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, *BOUNDED_QUERIES[command], flag, "-1")
+    assert (code, out) == (1, "")
+    assert f"argument {flag}: must be a nonnegative integer, got -1" in err
 
 
 def test_many_equal_poles_answer(capsys):
@@ -107,7 +127,7 @@ def test_cache_round_trip_and_transparency(capsys, tmp_path):
     cold = run_cli(capsys, "hurwitz", "--genus", "2", "--profile", "3", "--cache", cache)
     warm = run_cli(capsys, "hurwitz", "--genus", "2", "--profile", "3", "--cache", cache)
     assert bare == cold == warm == (0, "81\n", "")
-    lines = open(cache).read().splitlines()
+    lines = Path(cache).read_text().splitlines()
     assert lines == [
         "schema=hurwitz-hodge-cache/1",
         "kind=hurwitz g=2 mu=3 engine=frobenius value=81",
@@ -115,7 +135,7 @@ def test_cache_round_trip_and_transparency(capsys, tmp_path):
     # profile order must not duplicate cache entries
     run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "1,2", "--cache", cache)
     run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "2,1", "--cache", cache)
-    assert len(open(cache).read().splitlines()) == 3
+    assert len(Path(cache).read_text().splitlines()) == 3
 
 
 def test_hodge_cache_round_trip(capsys, tmp_path):
@@ -123,7 +143,7 @@ def test_hodge_cache_round_trip(capsys, tmp_path):
     cold = run_cli(capsys, "hodge", "--genus", "1", "--points", "1", "--cache", cache)
     warm = run_cli(capsys, "hodge", "--genus", "1", "--points", "1", "--cache", cache)
     assert cold == warm and cold[0] == 0
-    assert len(open(cache).read().splitlines()) == 3  # header + two records
+    assert len(Path(cache).read_text().splitlines()) == 3  # header + two records
 
 
 def test_cache_version_mismatch_exit_1(capsys, tmp_path):
@@ -213,8 +233,11 @@ def test_cache_record_lacking_field_exit_1(capsys, tmp_path):
          ("hodge", "--genus", "1", "--points", "1"), "value"),
         ("kind=hurwitz g=zero mu=3 engine=frobenius value=1", ("verify", "degll"), "g"),
         ("kind=hurwitz g=0 mu=3,x engine=frobenius value=1", ("verify", "degll"), "mu"),
+        ("kind=hurwitz g=0 mu=0 engine=frobenius value=1", ("verify", "degll"), "mu"),
+        ("kind=hurwitz g=-3 mu=2 engine=frobenius value=1", ("verify", "degll"), "g"),
     ],
-    ids=["hurwitz-value", "hurwitz-zero-denominator", "hodge-value", "degll-g", "degll-mu"],
+    ids=["hurwitz-value", "hurwitz-zero-denominator", "hodge-value", "degll-g", "degll-mu",
+         "degll-mu-zero", "degll-g-negative"],
 )
 def test_cache_malformed_field_names_file_and_record(capsys, tmp_path, record, argv, field):
     cache = tmp_path / "cache.txt"

@@ -1,11 +1,11 @@
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
 
 from hurwitz_hodge.partitions import (
-    Partition,
     aut_count,
+    check_partition,
     check_profile,
     partitions_of,
     z_order,
@@ -41,21 +41,34 @@ def test_partitions_of_rejects_negative():
         partitions_of(-1)
 
 
+def test_partitions_of_plain_tuples_in_reference_order():
+    # reference: every multiset of parts summing to k, largest part first,
+    # listed lexicographically descending
+    for k in range(9):
+        reference = sorted(
+            (tuple(reversed(parts))
+             for m in range(k + 1)
+             for parts in combinations_with_replacement(range(1, k + 1), m)
+             if sum(parts) == k),
+            reverse=True,
+        )
+        parts = partitions_of(k)
+        assert parts == reference
+        assert all(type(p) is tuple for p in parts)
+
+
 def test_partition_validation():
-    assert Partition((3, 1, 1)) == (3, 1, 1)
-    assert Partition() == ()
-    assert Partition((4, 2)).size == 6
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
-    with pytest.raises(ValueError):
-        Partition((2, -1))
-
-
-def test_partition_from_profile():
-    assert Partition.from_profile((1, 3, 2)) == (3, 2, 1)
-    assert Partition.from_profile((2, 2)) == (2, 2)
+    assert check_partition((3, 1, 1)) == (3, 1, 1)
+    assert check_partition(()) == ()
+    assert check_partition([4, 2]) == (4, 2) and type(check_partition([4, 2])) is tuple
+    with pytest.raises(ValueError, match=r"weakly decreasing, got \(1, 2\)"):
+        check_partition((1, 2))
+    with pytest.raises(ValueError, match="positive integers, got 0"):
+        check_partition((2, 0))
+    with pytest.raises(ValueError, match="positive integers, got -1"):
+        check_partition((2, -1))
+    with pytest.raises(ValueError, match="positive integers, got 1.0"):
+        check_partition((2, 1.0))
 
 
 def test_check_profile():
