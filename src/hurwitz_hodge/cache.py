@@ -4,11 +4,21 @@ A cache file starts with one header line naming the schema version,
 followed by one record per line as space-separated ``field=value`` tokens,
 e.g. ``kind=hurwitz g=0 mu=2,1 engine=frobenius value=4``.  Version
 mismatches are rejected, never migrated.
+
+A read parses only what was appended since the last read of the same
+path.  Each path keeps a snapshot: the text parsed so far, up to its last
+line break, the records of that text and the first record under each key.
+When the file's text starts with the snapshot's text, only the rest is
+parsed; any other text (the file shrank, was rewritten or was replaced) is
+parsed again from the header.  A last line without a line break is parsed
+on every read and never kept.  Snapshots are replaced, never mutated.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from typing import NamedTuple
 
 SCHEMA_LINE = "schema=hurwitz-hodge-cache/1"
 
@@ -30,19 +40,27 @@ class CacheError(ValueError):
     """Unreadable cache file, unsupported schema version or incomplete record."""
 
 
-def read_records(path: str) -> list[dict[str, str]]:
-    """All records of a cache file as dicts; rejects an unreadable file, a
-    bad schema line and a record lacking a field its kind needs."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except OSError as exc:
-        raise CacheError(f"cannot read cache file {path}: {exc.strerror or exc}") from exc
-    if not lines or lines[0] != SCHEMA_LINE:
-        found = lines[0] if lines else "<empty>"
-        raise CacheError(f"unsupported cache schema: expected {SCHEMA_LINE!r}, found {found!r}")
+class _Snapshot(NamedTuple):
+    text: str  # the header and every line parsed, up to the last line break
+    lines: int  # line count of text
+    records: list  # the records of text
+    first: dict  # key -> first record under that key in records
+
+
+_SNAPSHOTS: dict[str, _Snapshot] = {}
+_SNAPSHOT_LOCK = threading.Lock()
+_HEADER_ONLY = _Snapshot(SCHEMA_LINE + "\n", 1, [], {})
+
+
+def _key(record: dict[str, str]) -> tuple[str, ...]:
+    kind = record["kind"]
+    return (kind, *(record[field] for field in _REQUIRED.get(kind, ())))
+
+
+def _parse(lines, start: int) -> list[dict[str, str]]:
+    """The records of ``lines``, the first of which is line ``start``."""
     records = []
-    for num, line in enumerate(lines[1:], start=2):
+    for num, line in enumerate(lines, start=start):
         if not line.strip():
             continue
         record: dict[str, str] = {}
@@ -60,15 +78,74 @@ def read_records(path: str) -> list[dict[str, str]]:
     return records
 
 
+def read_records(path: str) -> list[dict[str, str]]:
+    """All records of a cache file as dicts; rejects an unreadable file, a
+    bad schema line and a record lacking a field its kind needs.  The dicts
+    are shared with later reads of the same path: do not modify them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CacheError(f"cannot read cache file {path}: {exc.strerror or exc}") from exc
+    snap = _SNAPSHOTS.get(path)
+    if snap is None or not text.startswith(snap.text):
+        header = text.partition("\n")[0]
+        if header != SCHEMA_LINE:
+            found = header if text else "<empty>"
+            raise CacheError(f"unsupported cache schema: expected {SCHEMA_LINE!r}, found {found!r}")
+        if text == SCHEMA_LINE:
+            return []
+        snap = _HEADER_ONLY
+    end = text.rfind("\n") + 1
+    if end > len(snap.text):
+        lines = text[len(snap.text):end - 1].split("\n")
+        new = _parse(lines, snap.lines + 1)
+        first = dict(snap.first)
+        for record in new:
+            first.setdefault(_key(record), record)
+        snap = _Snapshot(text[:end], snap.lines + len(lines), snap.records + new, first)
+    with _SNAPSHOT_LOCK:
+        _SNAPSHOTS[path] = snap
+    if end < len(text):
+        return snap.records + _parse([text[end:]], snap.lines + 1)
+    return list(snap.records)
+
+
+def find(path: str, keys) -> list[dict[str, str] | None]:
+    """For each key, the first record under it in the cache file at
+    ``path``, or None; a missing file is an empty cache.  A key is a kind
+    followed by the fields that kind is read by, as written in the file:
+    ``("hurwitz", g, mu)``, ``("degll", g, mu)`` or ``("hodge", g, n, b, j)``,
+    e.g. ``("hurwitz", "1", "2")``."""
+    if not os.path.exists(path):
+        return [None] * len(keys)
+    # one read through the module global, so a wrapper installed on
+    # read_records sees it
+    records = read_records(path)
+    snap = _SNAPSHOTS.get(path)
+    first: dict = {}
+    # the snapshot's index holds only if its records begin this read (list
+    # == compares identical dicts by identity, so the check is cheap)
+    if snap is not None and records[:len(snap.records)] == snap.records:
+        first, records = snap.first, records[len(snap.records):]
+    rest: dict = {}
+    for record in records:
+        rest.setdefault(_key(record), record)
+    return [first[key] if key in first else rest.get(key) for key in keys]
+
+
 def parse_field(path: str, record: dict[str, str], field: str, parse):
     """``parse(record[field])``, read where the value is used; a value that
     ``parse`` rejects raises a CacheError naming the file and the record."""
     try:
         return parse(record[field])
     except (ValueError, ZeroDivisionError) as exc:
-        raise CacheError(
-            f"bad {field} in cache file {path}, record {_line(record)!r}: {exc}"
-        ) from exc
+        raise CacheError(f"bad {field} in {describe(path, record)}: {exc}") from exc
+
+
+def describe(path: str, record: dict[str, str]) -> str:
+    """``cache file PATH, record 'LINE'``: where an error message points."""
+    return f"cache file {path}, record {_line(record)!r}"
 
 
 def _line(record: dict[str, str]) -> str:

@@ -13,7 +13,6 @@ ever rounded.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -115,12 +114,6 @@ def main(argv=None) -> int:
 # hurwitz
 
 
-def _cache_records(path: str) -> list[dict[str, str]]:
-    if not os.path.exists(path):
-        return []
-    return cache_store.read_records(path)
-
-
 def _compute_hurwitz(args, g: int, profile) -> tuple[Fraction, str]:
     if args.engine == "brute":
         value = engines.brute_force_hurwitz(
@@ -150,14 +143,15 @@ def _cmd_hurwitz(args) -> int:
     profile = parse_profile(args.profile)
     g = args.genus
     mu_text = ",".join(map(str, sorted(profile, reverse=True)))
-    cached = None
-    if args.cache:
-        for record in _cache_records(args.cache):
-            if record["kind"] == "hurwitz" and record.get("g") == str(g) and record.get("mu") == mu_text:
-                cached = record
-                break
+    cached = cache_store.find(args.cache, [("hurwitz", str(g), mu_text)])[0] if args.cache else None
     if cached is not None:
         value = cache_store.parse_field(args.cache, cached, "value", Fraction)
+        try:
+            hodge.degree_LL(g, profile, value)
+        except ConsistencyError as exc:
+            raise ConsistencyError(
+                f"bad cache hit in {cache_store.describe(args.cache, cached)}: {exc}"
+            ) from exc
     else:
         value, engine_used = _compute_hurwitz(args, g, profile)
         if args.cache:
@@ -182,15 +176,11 @@ def _cmd_hodge(args) -> int:
     keys = hodge.hodge_keys(g, n)  # validates stability up front
     table = None
     if args.cache:
-        index = {
-            (rec.get("g"), rec.get("n"), rec.get("b"), rec.get("j")): rec
-            for rec in _cache_records(args.cache)
-            if rec["kind"] == "hodge"
-        }
-        hits = [
-            index.get((str(g), str(n), ",".join(map(str, b)), str(j))) for j, b in keys
-        ]
-        if all(hit is not None for hit in hits):
+        hits = cache_store.find(
+            args.cache, [("hodge", str(g), str(n), ",".join(map(str, b)), str(j)) for j, b in keys]
+        )
+        missed = {key for key, hit in zip(keys, hits) if hit is None}
+        if not missed:
             table = hodge.HodgeTable()
             for (j, b), hit in zip(keys, hits):
                 table.set(g, n, b, j, cache_store.parse_field(args.cache, hit, "value", Fraction))
@@ -206,6 +196,7 @@ def _cmd_hodge(args) -> int:
                      "b": ",".join(map(str, kb)), "j": str(kj),
                      "engine": "extraction", "value": str(table.values[(kg, kn, kb, kj)])}
                     for kg, kn, kb, kj in table.sorted_keys()
+                    if (kj, kb) in missed
                 ],
             )
     if args.format == "table":

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hurwitz_hodge import cache as cache_store
 from hurwitz_hodge import cli, verify
 from hurwitz_hodge.cli import main
 from hurwitz_hodge.engines import genus_zero_closed_form
@@ -144,6 +145,61 @@ def test_hodge_cache_round_trip(capsys, tmp_path):
     warm = run_cli(capsys, "hodge", "--genus", "1", "--points", "1", "--cache", cache)
     assert cold == warm and cold[0] == 0
     assert len(Path(cache).read_text().splitlines()) == 3  # header + two records
+
+
+def test_hodge_cache_appends_only_missed_keys(capsys, tmp_path):
+    cache = tmp_path / "cache.txt"
+    argv = ("hodge", "--genus", "1", "--points", "2", "--cache", str(cache))
+    cold = run_cli(capsys, *argv)
+    lines = cache.read_text().splitlines()
+    assert cold[0] == 0 and len(lines) == 4  # header + three records
+    cache.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    assert run_cli(capsys, *argv) == cold
+    assert cache.read_text().splitlines() == lines[:2] + lines[3:] + lines[2:3]
+    assert run_cli(capsys, *argv) == cold
+    assert len(cache.read_text().splitlines()) == 4
+
+
+def test_hodge_cache_first_record_of_a_key_wins(capsys, tmp_path):
+    cache = tmp_path / "cache.txt"
+    cache.write_text(
+        "schema=hurwitz-hodge-cache/1\n"
+        "kind=hodge g=1 n=1 b=1 j=0 engine=extraction value=1/5\n"
+        "kind=hodge g=1 n=1 b=0 j=1 engine=extraction value=1/24\n"
+        "kind=hodge g=1 n=1 b=1 j=0 engine=extraction value=1/7\n"
+    )
+    code, out, _ = run_cli(capsys, "hodge", "--genus", "1", "--points", "1", "--format", "table",
+                           "--cache", str(cache))
+    assert code == 0 and out.splitlines()[1:] == ["1 1 0 1 1/24", "1 1 1 0 1/5"]
+
+
+def test_hurwitz_cache_hit_checked_by_ll_degree(capsys, tmp_path):
+    cache = tmp_path / "cache.txt"
+    record = "kind=hurwitz g=1 mu=2 engine=frobenius value=3/7"
+    cache.write_text(f"schema=hurwitz-hodge-cache/1\n{record}\n")
+    code, out, err = run_cli(capsys, "hurwitz", "--genus", "1", "--profile", "2", "--cache", str(cache))
+    assert (code, out) == (3, "")
+    assert f"bad cache hit in cache file {cache}, record {record!r}" in err
+    assert "deg LL = 6/7" in err
+
+
+def test_cache_reads_go_through_read_records(capsys, tmp_path, monkeypatch):
+    # the benchmark's tracer counts cache reads by wrapping this attribute
+    sizes = []
+    original = cache_store.read_records
+
+    def counting(path):
+        records = original(path)
+        sizes.append(len(records))
+        return records
+
+    monkeypatch.setattr(cache_store, "read_records", counting)
+    cache = str(tmp_path / "cache.txt")
+    argv = ("hurwitz", "--genus", "1", "--profile", "2", "--cache", cache)
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv) == (0, "1/2\n", "")
+    assert sizes == [1]  # the first call found no file, the second read one record
+    assert cache_store.find(cache, [("hurwitz", "1", "2")])[0]["value"] == "1/2"
+    assert sizes == [1, 1]
 
 
 def test_cache_version_mismatch_exit_1(capsys, tmp_path):
