@@ -1,9 +1,16 @@
 """Irreducible symmetric-group characters via the Murnaghan-Nakayama rule.
 
-Shapes are manipulated through their beta-sets (first-column hook lengths):
-removing a border strip of length L from the shape is moving one beta
-element down by L, with sign (-1)^(number of elements jumped over).  All
-arithmetic is integer and memoized, so repeated table lookups are cheap.
+A shape is an int bitmask, its Maya diagram: with N particles, bit
+lam_i + N - 1 - i is set for each of its N rows (empty rows included),
+i.e. the beta-set of first-column hook lengths.  Adding a border strip of
+length m moves one particle from an occupied b to an empty b + m, with
+sign (-1)^(number of particles jumped over); this is the fermionic picture
+of Okounkov, "Toda equations for Hurwitz numbers" (2000).  The Schur
+expansion of the power sum p_mu is built bottom up, one strip per part of
+mu, and memoized by (descending class suffix, particle count); a character
+value is a lookup of the shape's mask in its class's expansion.  The
+memoized expansions are never mutated once built, and all arithmetic is
+integer.
 """
 
 from __future__ import annotations
@@ -45,31 +52,44 @@ def character_value(lam, mu) -> int:
     Both arguments must partition the same integer.
     """
     lam, mu = check_partition(lam), check_partition(mu)
-    if sum(lam) != sum(mu):
+    k = sum(lam)
+    if k != sum(mu):
         raise ValueError(f"shape {lam} and class {mu} must partition the same integer")
-    return _border_strip(lam, mu)
+    return _expansion(mu, k).get(_maya(lam, k), 0)
+
+
+def _maya(lam: tuple[int, ...], particles: int) -> int:
+    # bit lam_i + particles - 1 - i for every row, empty rows included
+    mask = (1 << (particles - len(lam))) - 1
+    for i, row in enumerate(lam):
+        mask |= 1 << (row + particles - 1 - i)
+    return mask
 
 
 @lru_cache(maxsize=None)
-def _border_strip(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+def _expansion(mu: tuple[int, ...], particles: int) -> dict[int, int]:
+    """Nonzero coefficients chi^lam(mu) of p_mu = sum_lam chi^lam(mu) s_lam,
+    keyed by the Maya diagram of lam with ``particles`` particles.
+
+    mu is a descending class suffix: its smallest parts are added first,
+    so classes that share their tail share the memoized expansion of it.
+    """
     if not mu:
-        return 1
-    strip, rest = mu[0], mu[1:]
-    m = len(lam)
-    beta = [lam[i] + m - 1 - i for i in range(m)]
-    members = set(beta)
-    total = 0
-    for b in beta:
-        c = b - strip
-        if c < 0 or c in members:
-            continue
-        jumped = sum(1 for x in beta if c < x < b)
-        moved = sorted((members - {b}) | {c}, reverse=True)
-        shape = tuple(moved[i] - (m - 1 - i) for i in range(m))
-        while shape and shape[-1] == 0:
-            shape = shape[:-1]
-        total += (-1) ** jumped * _border_strip(shape, rest)
-    return total
+        return {(1 << particles) - 1: 1}
+    strip = mu[0]
+    out: dict[int, int] = {}
+    for mask, coef in _expansion(mu[1:], particles).items():
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            high = low << strip
+            if mask & high:
+                continue
+            moved = mask ^ low ^ high
+            jumped = (mask & (high - (low << 1))).bit_count()
+            out[moved] = out.get(moved, 0) + (-coef if jumped & 1 else coef)
+    return {mask: coef for mask, coef in out.items() if coef}
 
 
 def content_eigenvalue(lam) -> int:

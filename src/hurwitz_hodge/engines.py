@@ -19,9 +19,15 @@ nonnegative integer for every input.  Three independent engines:
 * ``connected_hurwitz`` expands the count without the connectivity
   requirement over class-algebra eigenvalues (``frobenius_disconnected``)
   and then peels off disconnected pieces by inclusion-exclusion over the
-  poles sharing a component with pole 1.  Poles of equal order give equal
+  poles sharing a component with pole 1.  Each class's character row is
+  computed once and kept as pairs (content sum, sum of dim * chi) merged
+  by content, so the tuple count for r transpositions is a power sum over
+  the row divided exactly by z(mu).  Poles of equal order give equal
   terms, so the sum runs over sub-multisets of the other poles, weighted
-  by the number prod C(m_v, c_v) of labeled subsets each one stands for;
+  by the number prod C(m_v, c_v) of labeled subsets each one stands for.
+  Both layers count tuples in integers (the connected layer holds
+  k! * #Aut(mu) * h); the only division is into ``Fraction`` at the
+  public functions;
 * the cut-and-join layer recursion lives in :mod:`hurwitz_hodge.cutjoin`.
 """
 
@@ -35,7 +41,7 @@ from itertools import product
 from math import comb, factorial
 
 from .characters import character_value, content_eigenvalue, irrep_dimension
-from .errors import InfeasibleError
+from .errors import ConsistencyError, InfeasibleError
 from .partitions import aut_count, check_profile, partitions_of, z_order
 
 DEFAULT_SHEET_BOUND = 5
@@ -170,18 +176,36 @@ def _char_data(k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _disconnected(mu: tuple[int, ...], r: int) -> Fraction:
+def _class_row(mu: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Pairs (content sum c, sum of dim lam * chi^lam(mu) over the shapes lam
+    with content sum c), zero sums dropped: the class's character row with
+    shapes of equal eigenvalue merged."""
+    weights: dict[int, int] = {}
+    for lam, dim, content in _char_data(sum(mu)):
+        # through the module attribute, one call per shape, so that a
+        # wrapper on engines.character_value sees every character computed
+        chi = character_value(lam, mu)
+        if chi:
+            weights[content] = weights.get(content, 0) + dim * chi
+    return tuple((content, weight) for content, weight in weights.items() if weight)
+
+
+@lru_cache(maxsize=None)
+def _disconnected(mu: tuple[int, ...], r: int) -> int:
+    """Number of length-r transposition tuples whose product has cycle
+    type mu: sum over the class row of weight * c^r, divided by z(mu)."""
     k, n = sum(mu), len(mu)
     if (r - (k - n)) % 2:
         # a product of r transpositions has sign (-1)^r, the class has sign
         # (-1)^(k-n); on mismatch the count is identically zero
-        return Fraction(0)
-    total = 0
-    for lam, dim, content in _char_data(k):
-        chi = character_value(lam, mu)
-        if chi:
-            total += dim * chi * content ** r
-    return Fraction(total, z_order(mu) * factorial(k))
+        return 0
+    total = sum(weight * content ** r for content, weight in _class_row(mu))
+    count, remainder = divmod(total, z_order(mu))
+    if remainder:
+        raise ConsistencyError(
+            f"character sum {total} for class {mu} and r={r} is not divisible by z={z_order(mu)}"
+        )
+    return count
 
 
 def frobenius_disconnected(
@@ -205,25 +229,26 @@ def frobenius_disconnected(
         raise InfeasibleError(f"character engine infeasible: k={k} exceeds bound {k_bound}")
     if r > r_bound:
         raise InfeasibleError(f"character engine infeasible: r={r} exceeds bound {r_bound}")
-    return _disconnected(mu, r)
+    return Fraction(_disconnected(mu, r), factorial(k))
 
 
 @lru_cache(maxsize=None)
-def _labeled_connected(mu: tuple[int, ...], r: int) -> Fraction:
-    """#Aut(mu) times the connected Hurwitz number for class mu realized
-    with r transpositions; zero when r fits no genus."""
+def _labeled_connected(mu: tuple[int, ...], r: int) -> int:
+    """k! * #Aut(mu) times the connected Hurwitz number for class mu
+    realized with r transpositions, an integer; zero when r fits no genus."""
     k, n = sum(mu), len(mu)
     twice_genus = r - k - n + 2
     if twice_genus < 0 or twice_genus % 2:
-        return Fraction(0)
+        return 0
     total = aut_count(mu) * _disconnected(mu, r)
     # Every component of a covering carries at least one pole, so the
     # disconnected count splits over the proper pole subsets sharing a
     # component with pole 1, with a binomial choice of which transposition
-    # slots act on that component.  Solve for the connected term.  Subsets
-    # taking the same number c_v of the m_v other poles of each order v give
-    # the same (block, rest) pair, so each sub-multiset is visited once with
-    # weight prod C(m_v, c_v); taking every pole leaves no rest and is skipped.
+    # slots act on that component and of which sheets it covers.  Solve for
+    # the connected term.  Subsets taking the same number c_v of the m_v
+    # other poles of each order v give the same (block, rest) pair, so each
+    # sub-multiset is visited once with weight prod C(m_v, c_v); taking
+    # every pole leaves no rest and is skipped.
     orders = sorted(Counter(mu[1:]).items(), reverse=True)
     for counts in product(*(range(m + 1) for _, m in orders)):
         weight = 1
@@ -237,14 +262,14 @@ def _labeled_connected(mu: tuple[int, ...], r: int) -> Fraction:
             continue
         block_mu = tuple(block)
         rest_mu = tuple(rest)
-        rest_aut = aut_count(rest_mu)
+        weight *= comb(k, sum(block_mu)) * aut_count(rest_mu)
         for r_block in range(sum(block_mu) + len(block_mu) - 2, r + 1, 2):
             h_block = _labeled_connected(block_mu, r_block)
             if not h_block:
                 continue
             h_rest = _disconnected(rest_mu, r - r_block)
             if h_rest:
-                total -= weight * comb(r, r_block) * h_block * rest_aut * h_rest
+                total -= weight * comb(r, r_block) * h_block * h_rest
     return total
 
 
@@ -266,7 +291,7 @@ def connected_hurwitz(
     if r > r_bound:
         raise InfeasibleError(f"character engine infeasible: r={r} exceeds bound {r_bound}")
     mu = tuple(sorted(profile, reverse=True))
-    return _labeled_connected(mu, r) / aut_count(mu)
+    return Fraction(_labeled_connected(mu, r), factorial(k) * aut_count(mu))
 
 
 def genus_zero_closed_form(profile) -> Fraction:

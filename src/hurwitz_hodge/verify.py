@@ -8,7 +8,7 @@ from math import prod
 
 from . import cache as cache_store
 from . import cutjoin, engines, hodge, series
-from .errors import ConsistencyError
+from .errors import ConsistencyError, InfeasibleError
 from .partitions import aut_count, parse_profile, partitions_of
 from .report import Check, make_check
 
@@ -77,9 +77,16 @@ def _degll(gmax, cache_path) -> list[Check]:
         h = cache_store.parse_field(cache_path, record, "value", Fraction)
         mu = cache_store.parse_field(cache_path, record, "mu", parse_profile)
         checks.append(_degll_check(g, mu, h))
-        if g == 0:  # integrality alone misses a wrong but integral sphere count
+        # integrality alone misses a wrong but integral count
+        if g == 0:
             checks.append(make_check("degll", f"g=0/mu={_mu_text(mu)}/closed-form",
                                      engines.genus_zero_closed_form(mu), h))
+            continue
+        try:
+            expected = engines.connected_hurwitz(g, mu)
+        except InfeasibleError:  # outside the default bounds: integrality only
+            continue
+        checks.append(make_check("degll", f"g={g}/mu={_mu_text(mu)}/frobenius", expected, h))
     return checks
 
 

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -37,6 +38,30 @@ def _count_syt(shape, memo={}):
                 child = child[:-1]
             total += _count_syt(child)
     memo[shape] = total
+    return total
+
+
+@lru_cache(maxsize=None)
+def _border_strip(lam, mu):
+    """Independent oracle: Murnaghan-Nakayama by removing border strips
+    from the beta-set of lam as a set of ints, the largest part of mu first."""
+    if not mu:
+        return 1
+    strip, rest = mu[0], mu[1:]
+    m = len(lam)
+    beta = [lam[i] + m - 1 - i for i in range(m)]
+    members = set(beta)
+    total = 0
+    for b in beta:
+        c = b - strip
+        if c < 0 or c in members:
+            continue
+        jumped = sum(1 for x in beta if c < x < b)
+        moved = sorted((members - {b}) | {c}, reverse=True)
+        shape = tuple(moved[i] - (m - 1 - i) for i in range(m))
+        while shape and shape[-1] == 0:
+            shape = shape[:-1]
+        total += (-1) ** jumped * _border_strip(shape, rest)
     return total
 
 
@@ -130,3 +155,28 @@ def test_content_is_class_sum_eigenvalue(k):
         dim = irrep_dimension(lam)
         assert size * chi % dim == 0
         assert content_eigenvalue(lam) == size * chi // dim
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_character_against_border_strip_removal(k):
+    shapes = partitions_of(k)
+    for lam in shapes:
+        for mu in shapes:
+            assert character_value(lam, mu) == _border_strip(lam, mu)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_character_row_and_column_orthogonality(k):
+    shapes = partitions_of(k)
+    table = {(lam, mu): character_value(lam, mu) for lam in shapes for mu in shapes}
+    for mu in shapes:
+        for nu in shapes:
+            total = sum(table[lam, mu] * table[lam, nu] for lam in shapes)
+            assert total == (z_order(mu) if mu == nu else 0)
+    # sum over classes of chi^lam chi^rho / z(mu) is delta(lam, rho); scaled
+    # by k! the weights become the class sizes k!/z(mu)
+    for lam in shapes:
+        for rho in shapes:
+            total = sum(table[lam, mu] * table[rho, mu] * (factorial(k) // z_order(mu))
+                        for mu in shapes)
+            assert total == (factorial(k) if lam == rho else 0)

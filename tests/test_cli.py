@@ -242,6 +242,31 @@ def test_verify_degll_flags_integral_but_wrong_genus_zero_record(capsys, tmp_pat
     assert bad == ["degll g=0/mu=1,1,1/closed-form 4 5 fail"]
 
 
+def test_verify_degll_recomputes_genus_one_records(capsys, tmp_path):
+    # 1 * 1 * 2 is an integer, so only the engine (1/2) catches g=1 mu=2;
+    # records outside the default bounds (k=11, r=61) get integrality only
+    cache = tmp_path / "cache.txt"
+    cache.write_text(
+        "schema=hurwitz-hodge-cache/1\n"
+        "kind=hurwitz g=1 mu=2 engine=frobenius value=1\n"
+        "kind=hurwitz g=1 mu=1,1,1 engine=frobenius value=40\n"
+        "kind=hurwitz g=1 mu=11 engine=frobenius value=1\n"
+        "kind=hurwitz g=30 mu=2 engine=frobenius value=1\n"
+    )
+    code, out, _ = run_cli(capsys, "verify", "degll", "--cache", str(cache))
+    assert code == 3
+    lines = out.splitlines()
+    assert [line for line in lines if line.endswith(" fail")] == [
+        "degll g=1/mu=2/frobenius 1/2 1 fail"
+    ]
+    assert [line for line in lines if "/frobenius " in line] == [
+        "degll g=1/mu=2/frobenius 1/2 1 fail",
+        "degll g=1/mu=1,1,1/frobenius 40 40 pass",
+    ]
+    assert "degll g=1/mu=11 nonnegative-integer 11 pass" in lines
+    assert "degll g=30/mu=2 nonnegative-integer 2 pass" in lines
+
+
 def test_verify_missing_cache_exit_1(capsys, tmp_path):
     missing = str(tmp_path / "missing.txt")
     code, out, err = run_cli(capsys, "verify", "degll", "--cache", missing)

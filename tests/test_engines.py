@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from hurwitz_hodge import engines
+from hurwitz_hodge import characters, engines
 from hurwitz_hodge.cutjoin import cut_and_join_hurwitz
 from hurwitz_hodge.engines import (
     brute_force_hurwitz,
@@ -244,6 +244,58 @@ def test_brute_force_state_table_is_thread_safe():
     r = ramification_count(1, (1,) * 5)
     assert results == [connected_hurwitz(1, (1,) * 5)] * 4
     assert len(engines._BRUTE_STATE[5]["summaries"]) == r + 1
+
+
+def _clear_character_engine():
+    characters._expansion.cache_clear()
+    for table in (engines._char_data, engines._class_row, engines._disconnected,
+                  engines._labeled_connected):
+        table.cache_clear()
+
+
+def test_character_engine_tables_are_thread_safe():
+    # four threads filling the same cold memo tables must each see finished
+    # expansions and rows, never a partly built one
+    genus_one = (2, 2) + (1,) * 8
+    single = connected_hurwitz(1, genus_one, k_bound=12)
+    _clear_character_engine()
+    start = threading.Barrier(4)
+    results = []
+
+    def work():
+        start.wait()
+        results.append((connected_hurwitz(0, (1,) * 12, k_bound=12),
+                        connected_hurwitz(1, genus_one, k_bound=12)))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [(genus_zero_closed_form((1,) * 12), single)] * 4
+
+
+def test_characters_go_through_engines_character_value(monkeypatch):
+    # the benchmark's tracer counts character calls by wrapping this
+    # attribute; a class row asks for each (shape, class) pair once
+    calls = []
+    original = engines.character_value
+
+    def counting(lam, mu):
+        calls.append((lam, mu))
+        return original(lam, mu)
+
+    expected = connected_hurwitz(1, (3, 2, 1))
+    monkeypatch.setattr(engines, "character_value", counting)
+    _clear_character_engine()
+    assert connected_hurwitz(1, (3, 2, 1)) == expected
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_engine_agreement_sample():
