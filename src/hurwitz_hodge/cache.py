@@ -68,6 +68,8 @@ def _parse(lines, start: int) -> list[dict[str, str]]:
             field, eq, value = token.partition("=")
             if not eq:
                 raise CacheError(f"malformed cache record on line {num}: {line!r}")
+            if field in record:
+                raise CacheError(f"malformed cache record on line {num}: {field} given twice: {line!r}")
             record[field] = value
         if "kind" not in record or "value" not in record:
             raise CacheError(f"cache record on line {num} lacks kind/value: {line!r}")
@@ -156,10 +158,19 @@ def _line(record: dict[str, str]) -> str:
 
 
 def append_records(path: str, records) -> None:
-    """Append records, writing the schema header first on a fresh file."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write(SCHEMA_LINE + "\n")
-        for record in records:
-            fh.write(_line(record) + "\n")
+    """Append records, writing the schema header first on a fresh file and
+    a line break first after a last line that lacks one; a path that
+    cannot be written raises CacheError."""
+    text = "".join(_line(record) + "\n" for record in records)
+    try:
+        with open(path, "a+b") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            if size == 0:
+                text = SCHEMA_LINE + "\n" + text
+            else:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":
+                    text = "\n" + text
+            fh.write(text.encode("utf-8"))
+    except OSError as exc:
+        raise CacheError(f"cannot write cache file {path}: {exc.strerror or exc}") from exc

@@ -27,7 +27,6 @@ exist and the engines compute them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
@@ -125,29 +124,26 @@ def hodge_keys(g: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
     return keys
 
 
-@lru_cache(maxsize=None)
-def _distinct_permutations(b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Each distinct rearrangement of b once, in lexicographic order
-    (next-permutation steps, so repeated entries cost no extra work)."""
-    p = sorted(b)
-    out = []
-    while True:
-        out.append(tuple(p))
-        i = len(p) - 2
-        while i >= 0 and p[i] >= p[i + 1]:
-            i -= 1
-        if i < 0:
-            return tuple(out)
-        j = len(p) - 1
-        while p[j] <= p[i]:
-            j -= 1
-        p[i], p[j] = p[j], p[i]
-        p[i + 1:] = reversed(p[i + 1:])
+def _monomial_sum(b, ks, memo=None) -> int:
+    """m_b(k_1..k_n), the sum of prod_i k_i^{b'_i} over the distinct
+    rearrangements b' of b, by the first-variable recursion
 
+        m_b(k_1..k_n) = sum over distinct e in b of k_1^e * m_{b-e}(k_2..k_n),
 
-def _monomial_sum(b: tuple[int, ...], ks) -> int:
-    """Sum of prod k_i^{b'_i} over distinct rearrangements b' of b."""
-    return sum(prod(k ** e for k, e in zip(ks, p)) for p in _distinct_permutations(b))
+    with m_() = 1.  Calls sharing one ``memo`` dict, keyed by (b, ks), share
+    common tails; they must pass b as an ascending tuple and ks as a tuple."""
+    if memo is None:
+        return _monomial_sum(tuple(sorted(b)), tuple(ks), {})
+    if not b:
+        return 1
+    value = memo.get((b, ks))
+    if value is None:
+        head, tail = ks[0], ks[1:]
+        value = memo[b, ks] = sum(
+            head ** e * _monomial_sum(b[:i] + b[i + 1:], tail, memo)
+            for i, e in enumerate(b) if i == 0 or e != b[i - 1]
+        )
+    return value
 
 
 class HodgeTable:
@@ -215,7 +211,8 @@ class HodgeTable:
 
 
 def _design_matrix(keys, points) -> list[list[int]]:
-    return [[(-1) ** j * _monomial_sum(b, point) for j, b in keys] for point in points]
+    memo: dict = {}
+    return [[(-1) ** j * _monomial_sum(b, point, memo) for j, b in keys] for point in points]
 
 
 def _count_floor(unknowns: int, n: int) -> int:
@@ -285,8 +282,7 @@ def extract_hodge_integrals(
         bound = minimal_grid_bound(g, n)
     points = list(combinations_with_replacement(range(1, bound + 1), n))
     matrix = _design_matrix(keys, points)
-    counts = [hurwitz(g, point) for point in points]
-    rhs = [Fraction(h) / prefactor(g, point) for h, point in zip(counts, points)]
+    rhs = [normalized_value(g, point, hurwitz) for point in points]
     try:
         solution = solve_exact(matrix, rhs)
     except RankDeficientError as exc:

@@ -262,3 +262,33 @@ def test_find_looks_up_what_read_records_returns(tmp_path, monkeypatch):
     original = cache.read_records
     monkeypatch.setattr(cache, "read_records", lambda p: [dict(r, engine="x") for r in original(p)])
     assert cache.find(path, [("hurwitz", "1", "2")]) == [dict(first, engine="x")]
+
+
+def test_append_after_unterminated_line_keeps_both_records(tmp_path):
+    path = tmp_path / "cache.txt"
+    older = {"kind": "hurwitz", "g": "0", "mu": "1,1,1", "engine": "frobenius", "value": "4"}
+    newer = {"kind": "hurwitz", "g": "1", "mu": "2", "engine": "frobenius", "value": "1/2"}
+    path.write_text(f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=1,1,1 engine=frobenius value=4")
+    append_records(str(path), [newer])
+    assert read_records(str(path)) == [older, newer]
+    # a header with no line break is not merged with the first record either
+    path.write_text(SCHEMA_LINE)
+    append_records(str(path), [newer])
+    assert read_records(str(path)) == [newer]
+    assert path.read_text() == f"{SCHEMA_LINE}\nkind=hurwitz g=1 mu=2 engine=frobenius value=1/2\n"
+
+
+def test_repeated_field_rejected(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text(f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=3 value=1\nkind=hurwitz g=0 mu=2 g=5 engine=x value=4\n")
+    with pytest.raises(CacheError, match="malformed cache record on line 3: g given twice"):
+        read_records(str(path))
+    with pytest.raises(CacheError, match="line 3: g given twice"):
+        find(str(path), [("hurwitz", "5", "2")])
+
+
+def test_unwritable_path_rejected(tmp_path):
+    path = str(tmp_path / "missing" / "cache.txt")
+    with pytest.raises(CacheError, match="cannot write cache file") as info:
+        append_records(path, [{"kind": "hurwitz", "g": "0", "mu": "3", "engine": "brute", "value": "1"}])
+    assert path in str(info.value)

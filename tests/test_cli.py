@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from hurwitz_hodge import cache as cache_store
-from hurwitz_hodge import cli, verify
+from hurwitz_hodge import cli, cutjoin, engines, hodge, series, verify
 from hurwitz_hodge.cli import main
 from hurwitz_hodge.engines import genus_zero_closed_form
 
@@ -200,6 +200,54 @@ def test_cache_reads_go_through_read_records(capsys, tmp_path, monkeypatch):
     assert sizes == [1]  # the first call found no file, the second read one record
     assert cache_store.find(cache, [("hurwitz", "1", "2")])[0]["value"] == "1/2"
     assert sizes == [1, 1]
+
+
+@pytest.mark.parametrize("argv", [("hurwitz", "--genus", "0", "--profile", "2"),
+                                  ("hodge", "--genus", "1", "--points", "1")])
+def test_unwritable_cache_path_exit_1(capsys, tmp_path, argv):
+    cache = tmp_path / "missing" / "c.txt"
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write cache file {cache}: ")
+
+
+def test_repeated_cache_field_exit_1(capsys, tmp_path):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("schema=hurwitz-hodge-cache/1\nkind=hurwitz g=0 mu=2 g=5 engine=x value=4\n")
+    code, out, err = run_cli(capsys, "hurwitz", "--genus", "5", "--profile", "2", "--cache", str(cache))
+    assert (code, out) == (1, "")
+    assert "line 2: g given twice" in err
+
+
+_H12 = ("hurwitz", "--genus", "1", "--profile", "2")
+
+
+# call sites the benchmark's tracer wraps, each with a command that must
+# reach it through the module attribute (test_cache_reads_go_through_read_records,
+# test_characters_go_through_engines_character_value and
+# test_extraction_goes_through_hodge_call_sites cover the others)
+@pytest.mark.parametrize("module, attr, argv", [
+    (engines, "connected_hurwitz", (*_H12, "--engine", "frobenius")),
+    (engines, "brute_force_hurwitz", (*_H12, "--engine", "brute")),
+    (cutjoin, "cut_and_join_layer", (*_H12, "--engine", "cutjoin")),
+    (cache_store, "append_records", (*_H12, "--cache", "CACHE")),
+    (hodge, "extract_hodge_integrals", ("hodge", "--genus", "1", "--points", "1")),
+    (series, "extract_hodge_integrals", ("verify", "fp-identity", "--gmax", "1")),
+    (series, "verify_faber_pandharipande", ("verify", "fp-identity", "--gmax", "1")),
+], ids=lambda arg: arg if isinstance(arg, str) else None)
+def test_benchmark_call_sites_are_called(capsys, tmp_path, monkeypatch, module, attr, argv):
+    calls = []
+    original = getattr(module, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counting)
+    monkeypatch.setattr(cutjoin, "_LAYER_CACHE", {})  # so layers are built, not looked up
+    argv = [str(tmp_path / "cache.txt") if arg == "CACHE" else arg for arg in argv]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls
 
 
 def test_cache_version_mismatch_exit_1(capsys, tmp_path):

@@ -1,13 +1,15 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 import pytest
 
+from hurwitz_hodge import hodge
 from hurwitz_hodge.engines import connected_hurwitz, genus_zero_closed_form
 from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
 from hurwitz_hodge.hodge import (
     HodgeTable,
+    _design_matrix,
     _monomial_sum,
     degree_LL,
     extract_hodge_integrals,
@@ -211,3 +213,37 @@ def test_monomial_sum_matches_set_of_permutations():
                     prod(k ** e for k, e in zip(ks, p)) for p in set(permutations(b))
                 )
                 assert _monomial_sum(b, ks) == expected
+
+
+def test_design_matrix_matches_set_of_permutations():
+    pairs = [(g, n) for g in range(3) for n in range(1, 6) if is_stable(g, n) and 3 * g - 3 + n <= 6]
+    assert len(pairs) == 11
+    for g, n in pairs:
+        keys = hodge_keys(g, n)
+        points = list(combinations_with_replacement(range(1, 4), n))
+        if n > 1:  # rows whose tails agree, so a memo keyed by b alone would fail
+            assert any(p[1:] == q[1:] and p[0] != q[0] for p in points for q in points)
+        expected = [
+            [(-1) ** j * sum(prod(k ** e for k, e in zip(point, p)) for p in set(permutations(b)))
+             for j, b in keys]
+            for point in points
+        ]
+        assert _design_matrix(keys, points) == expected, (g, n)
+
+
+def test_extraction_goes_through_hodge_call_sites(monkeypatch):
+    # the benchmark's tracer times the grid probe, the rank calls and the
+    # solve by wrapping these module attributes
+    calls = {name: 0 for name in ("column_rank", "solve_exact", "minimal_grid_bound")}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hodge, name, counting(name, getattr(hodge, name)))
+    table = extract_hodge_integrals(1, 2)
+    assert table.get(1, 2, (0, 1), 1) == F(1, 24)
+    assert all(count >= 1 for count in calls.values()), calls
