@@ -12,6 +12,11 @@ When the file's text starts with the snapshot's text, only the rest is
 parsed; any other text (the file shrank, was rewritten or was replaced) is
 parsed again from the header.  A last line without a line break is parsed
 on every read and never kept.  Snapshots are replaced, never mutated.
+
+Where ``fcntl`` exists, a read holds a shared ``flock`` on the file while it
+reads, and an append holds an exclusive one from its size probe to the end
+of its write, so a reader never sees part of a record being appended by
+this package, from any thread or process.
 """
 
 from __future__ import annotations
@@ -19,6 +24,11 @@ from __future__ import annotations
 import os
 import threading
 from typing import NamedTuple
+
+try:
+    import fcntl
+except ImportError:  # no flock (Windows): reads may see a torn append
+    fcntl = None
 
 SCHEMA_LINE = "schema=hurwitz-hodge-cache/1"
 
@@ -80,12 +90,20 @@ def _parse(lines, start: int) -> list[dict[str, str]]:
     return records
 
 
+def _lock(fh, exclusive: bool) -> None:
+    """Block until ``fh`` holds a shared or an exclusive flock; closing
+    ``fh`` releases it."""
+    if fcntl is not None:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+
+
 def read_records(path: str) -> list[dict[str, str]]:
     """All records of a cache file as dicts; rejects an unreadable file, a
     bad schema line and a record lacking a field its kind needs.  The dicts
     are shared with later reads of the same path: do not modify them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            _lock(fh, exclusive=False)
             text = fh.read()
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc.strerror or exc}") from exc
@@ -164,6 +182,8 @@ def append_records(path: str, records) -> None:
     text = "".join(_line(record) + "\n" for record in records)
     try:
         with open(path, "a+b") as fh:
+            # held until close, which flushes the write first
+            _lock(fh, exclusive=True)
             size = fh.seek(0, os.SEEK_END)
             if size == 0:
                 text = SCHEMA_LINE + "\n" + text

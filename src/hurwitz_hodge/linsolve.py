@@ -12,6 +12,13 @@ Built for small, possibly overdetermined systems that must hold exactly:
 full column rank is mandatory and every equation (including surplus rows)
 is re-checked, as given and in its own units, against the solution, so a
 wrong right-hand side can never pass silently.
+
+The Hodge extraction hands these routines only its dense block: after
+interpolation, the keys whose exponents all lie below the grid bound are
+unit columns and are solved by back substitution, so the block holds the
+other keys' columns on the basis rows that no unit key occupies.  It can
+have no columns at all; the solve then only checks that every right-hand
+side entry is zero.  Every surplus row is still residual-checked exactly.
 """
 
 from __future__ import annotations
@@ -25,11 +32,13 @@ class RankDeficientError(ValueError):
 
 
 class InconsistentSystemError(ValueError):
-    """Some equation has a nonzero residual; carries the first offender."""
+    """Some equation has a nonzero residual; carries the first offender and
+    the solution of the pivot rows that it misses."""
 
-    def __init__(self, row_index: int, residual: Fraction):
+    def __init__(self, row_index: int, residual: Fraction, solution: list[Fraction]):
         self.row_index = row_index
         self.residual = residual
+        self.solution = solution
         super().__init__(f"equation {row_index} has nonzero residual {residual}")
 
 
@@ -84,9 +93,11 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
     """Solve A x = b exactly; A may have more rows than columns.
 
     Raises RankDeficientError if the columns are dependent and
-    InconsistentSystemError if any row of the original system is not
-    satisfied exactly by the solution of the pivot rows.  Returns the
-    solution as a list of Fractions.
+    InconsistentSystemError, carrying that solution, if any row of the
+    original system is not satisfied exactly by the solution of the pivot
+    rows.  Returns the solution as a list of Fractions.  A matrix with no
+    columns is allowed: its solution is empty, and every right-hand side
+    entry must be zero.
     """
     rows = [list(row) for row in matrix]
     if not rows:
@@ -114,9 +125,10 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
         s = det * row[-1] - sum(row[c] * numerators[c] for c in range(col + 1, n_cols))
         numerators[col] = s // row[col]
     denominator = det * unit
+    solution = [Fraction(v, denominator) for v in numerators]
     for idx, row in enumerate(original):
         total = sum(a * v for a, v in zip(row, numerators))
         residual = Fraction(total, denominator) - row[-1]
         if residual:
-            raise InconsistentSystemError(idx, residual)
-    return [Fraction(v, denominator) for v in numerators]
+            raise InconsistentSystemError(idx, residual, solution)
+    return solution

@@ -254,6 +254,61 @@ def test_concurrent_reads_see_prefixes(tmp_path):
     assert hits and all(hit in (None, want) for found in hits for hit, want in zip(found, expected))
 
 
+def _blocked_call(target):
+    """Start ``target`` in a thread; return the thread and its outcome list
+    once it has had time to finish were it not blocked."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(target())
+        except Exception as exc:  # reported by the caller, not lost in the thread
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=0.3)
+    return thread, outcome
+
+
+@pytest.mark.skipif(cache.fcntl is None, reason="needs flock")
+def test_read_waits_for_an_append_in_flight(tmp_path):
+    # another open file description holds LOCK_EX with half a record
+    # written: the read must wait for the whole record, not parse the tail
+    import fcntl
+
+    path = str(tmp_path / "cache.txt")
+    first = {"kind": "hurwitz", "g": "0", "mu": "1", "engine": "brute", "value": "1"}
+    append_records(path, [first])
+    with open(path, "ab") as fh:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        fh.write(b"kind=hurwitz g=0 mu=91 engine=brute value=9")
+        fh.flush()
+        reader, outcome = _blocked_call(lambda: read_records(path))
+        assert reader.is_alive() and outcome == []
+        fh.write(b"1\n")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert outcome == [[first, dict(first, mu="91", value="91")]]
+
+
+@pytest.mark.skipif(cache.fcntl is None, reason="needs flock")
+def test_append_waits_for_a_read_in_flight(tmp_path):
+    import fcntl
+
+    path = str(tmp_path / "cache.txt")
+    first = {"kind": "hurwitz", "g": "0", "mu": "1", "engine": "brute", "value": "1"}
+    append_records(path, [first])
+    with open(path, "rb") as fh:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
+        writer, outcome = _blocked_call(lambda: append_records(path, [dict(first, mu="2")]))
+        assert writer.is_alive() and outcome == []
+        assert read_records(path) == [first]  # shared locks do not exclude each other
+    writer.join(timeout=30)
+    assert not writer.is_alive() and outcome == [None]
+    assert read_records(path) == [first, dict(first, mu="2")]
+
+
 def test_find_looks_up_what_read_records_returns(tmp_path, monkeypatch):
     path = str(tmp_path / "cache.txt")
     first = {"kind": "hurwitz", "g": "1", "mu": "2", "engine": "brute", "value": "1/2"}

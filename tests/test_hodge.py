@@ -1,6 +1,7 @@
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -9,7 +10,6 @@ from hurwitz_hodge.engines import connected_hurwitz, genus_zero_closed_form
 from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
 from hurwitz_hodge.hodge import (
     HodgeTable,
-    _design_matrix,
     _monomial_sum,
     degree_LL,
     extract_hodge_integrals,
@@ -21,8 +21,35 @@ from hurwitz_hodge.hodge import (
     prefactor,
     weight_w,
 )
+from hurwitz_hodge.linsolve import column_rank, solve_exact
 
 F = Fraction
+
+
+# Oracle: the extraction as it was before interpolation, one equation per
+# sorted grid profile, eliminated whole.  Slow but independent of the
+# interpolation basis, the residue tables and the dense-block bookkeeping.
+def _design_matrix(keys, points) -> list[list[int]]:
+    memo: dict = {}
+    return [[(-1) ** j * _monomial_sum(b, point, memo) for j, b in keys] for point in points]
+
+
+def _oracle_bound(g, n):
+    keys = hodge_keys(g, n)
+    bound = 1
+    while comb(bound + n - 1, n) < len(keys) + n:
+        bound += 1
+    while column_rank(_design_matrix(keys, combinations_with_replacement(range(1, bound + 1), n))) < len(keys):
+        bound += 1
+    return bound
+
+
+def _oracle_table(g, n, bound, hurwitz):
+    keys = hodge_keys(g, n)
+    points = list(combinations_with_replacement(range(1, bound + 1), n))
+    rhs = [normalized_value(g, point, hurwitz) for point in points]
+    solution = solve_exact(_design_matrix(keys, points), rhs)
+    return {(g, n, b, j): value for (j, b), value in zip(keys, solution)}, len(points) - len(keys)
 
 
 def test_prefactor_examples():
@@ -128,6 +155,93 @@ def test_bad_provider_trips_residual_check():
 
     with pytest.raises(ConsistencyError, match="residual"):
         extract_hodge_integrals(1, 1, hurwitz=provider)
+
+
+def _misfit(message):
+    found = re.search(r"at profile \(([\d, ]+)\): (\S+)$", message)
+    assert found, message
+    return tuple(int(k) for k in found.group(1).replace(",", " ").split()), F(found.group(2))
+
+
+def _perturbed(at):
+    def provider(g, profile):
+        return connected_hurwitz(g, profile, k_bound=40, r_bound=80) + (profile == at)
+    return provider
+
+
+def test_residual_names_first_misfit_without_dense_block():
+    # (1, 2) at B = 3 has no dense key: the solved polynomial keeps the
+    # interpolant's coefficients on the keys and drops the rest, which the
+    # square interpolation system on the grid recomputes independently
+    g, n, at = 1, 2, (2, 3)
+    bound = minimal_grid_bound(g, n)
+    assert hodge._reduced_system(g, n, bound).dense == ()
+    with pytest.raises(ConsistencyError, match="nonzero residual extracting") as info:
+        extract_hodge_integrals(g, n, hurwitz=_perturbed(at))
+    profile, residual = _misfit(str(info.value))
+    points = list(combinations_with_replacement(range(1, bound + 1), n))
+    basis = list(combinations_with_replacement(range(bound), n))
+    values = [normalized_value(g, p, _perturbed(at)) for p in points]
+    coefficients = solve_exact([[_monomial_sum(beta, p) for beta in basis] for p in points], values)
+    kept = {b for _, b in hodge_keys(g, n)}
+
+    def solved(p):
+        return sum(c * _monomial_sum(beta, p) for beta, c in zip(basis, coefficients) if beta in kept)
+
+    first = next(i for i, p in enumerate(points) if solved(p) != values[i])
+    assert (profile, residual) == (points[first], solved(points[first]) - values[first])
+
+
+@pytest.mark.parametrize("g, n, at", [(2, 1, (3,)), (2, 3, (2, 4, 5)), (1, 4, (1, 1, 2, 3))])
+def test_residual_names_a_grid_profile_the_solution_misses(g, n, at):
+    # with dense keys the solution depends on the pivot rows; check what
+    # the message claims: some polynomial of the keys' shape fits the counts
+    # at every grid profile before the named one and misses it by R != 0
+    with pytest.raises(ConsistencyError, match="nonzero residual extracting") as info:
+        extract_hodge_integrals(g, n, hurwitz=_perturbed(at))
+    profile, residual = _misfit(str(info.value))
+    points = list(combinations_with_replacement(range(1, minimal_grid_bound(g, n) + 1), n))
+    assert profile in points and residual != 0
+    prefix = points[:points.index(profile) + 1]
+    values = [normalized_value(g, p, _perturbed(at)) for p in prefix]
+    values[-1] += residual
+    design = _design_matrix(hodge_keys(g, n), prefix)
+    assert column_rank(design) == column_rank([row + [v] for row, v in zip(design, values)])
+
+
+ORACLE_PAIRS = [(g, n) for g in range(3) for n in range(1, 10) if is_stable(g, n) and 3 * g - 3 + n <= 6]
+
+
+def _provider(g):
+    if g == 0:  # the closed form keeps n up to 9 fast
+        return lambda gg, profile: genus_zero_closed_form(profile)
+    return lambda gg, profile: connected_hurwitz(gg, profile, k_bound=40, r_bound=80)
+
+
+@pytest.mark.parametrize("g, n", ORACLE_PAIRS)
+def test_extraction_matches_design_matrix_oracle(g, n):
+    table = extract_hodge_integrals(g, n, hurwitz=_provider(g))
+    bound = _oracle_bound(g, n)
+    assert table.grid_bound[(g, n)] == minimal_grid_bound(g, n) == bound
+    assert (table.values, table.surplus_rows[(g, n)]) == _oracle_table(g, n, bound, _provider(g))
+
+
+@pytest.mark.parametrize("g, n", [(3, 3), (2, 4), (4, 2)])
+def test_benchmark_tables_match_design_matrix_oracle(g, n):
+    table = extract_hodge_integrals(g, n, k_bound=40, r_bound=60)
+    bound = _oracle_bound(g, n)
+    assert table.grid_bound[(g, n)] == bound
+    assert (table.values, table.surplus_rows[(g, n)]) == _oracle_table(g, n, bound, _provider(g))
+
+
+@pytest.mark.parametrize("g, n, bound", [(2, 1, 5), (1, 3, 4), (2, 2, 6)])
+def test_explicit_bound_with_only_unit_keys_matches_oracle(g, n, bound):
+    assert bound > minimal_grid_bound(g, n)
+    assert hodge._reduced_system(g, n, bound).dense == ()  # every key a unit column
+    provider = _provider(g)
+    table = extract_hodge_integrals(g, n, bound, hurwitz=provider)
+    assert table.grid_bound[(g, n)] == bound
+    assert (table.values, table.surplus_rows[(g, n)]) == _oracle_table(g, n, bound, provider)
 
 
 def test_forward_examples():
@@ -247,3 +361,33 @@ def test_extraction_goes_through_hodge_call_sites(monkeypatch):
     table = extract_hodge_integrals(1, 2)
     assert table.get(1, 2, (0, 1), 1) == F(1, 24)
     assert all(count >= 1 for count in calls.values()), calls
+
+
+def test_probe_ranks_every_bound_and_builds_each_system_once(monkeypatch):
+    # (2, 3): the count floor 4 is rank deficient, 5 is not; each bound's
+    # reduced system is built once, and the final one serves the solve too
+    ranks = []
+    original = hodge.column_rank
+    monkeypatch.setattr(hodge, "column_rank", lambda m: ranks.append(len(m)) or original(m))
+    hodge._reduced_system.cache_clear()
+    table = extract_hodge_integrals(2, 3, hurwitz=_provider(2))
+    assert table.grid_bound[(2, 3)] == 5 and len(ranks) == 2
+    assert hodge._reduced_system.cache_info().misses == 2
+    # the count floor of (1, 2) already has only unit keys; it is still probed
+    ranks.clear()
+    extract_hodge_integrals(1, 2)
+    assert len(ranks) == 1 and hodge._reduced_system(1, 2, 3).dense == ()
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 9])
+def test_interpolation_tables(bound):
+    nodes = range(1, bound + 1)
+    # (B-1)! V^-1 times V is (B-1)! I, for V = (v^t) with v = 1..B
+    inverse = hodge._scaled_inverse(bound)
+    assert [[sum(inverse[t][v - 1] * v ** s for v in nodes) for s in range(bound)]
+            for t in range(bound)] == [[factorial(bound - 1) * (t == s) for s in range(bound)]
+                                       for t in range(bound)]
+    # each residue polynomial has degree below B and agrees with x^e on 1..B
+    for e, row in enumerate(hodge._residues(bound, 3 * bound)):
+        assert len(row) == bound
+        assert [sum(c * v ** t for t, c in enumerate(row)) for v in nodes] == [v ** e for v in nodes]

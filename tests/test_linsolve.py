@@ -133,3 +133,18 @@ def test_shape_validation():
         solve_exact([[1, 2], [1]], [1, 2])
     with pytest.raises(ValueError):
         solve_exact([[1, 2]], [1, 2])
+
+
+def test_inconsistent_system_carries_the_pivot_solution():
+    with pytest.raises(InconsistentSystemError) as info:
+        solve_exact([[1, 0], [0, 2], [1, 1]], [1, 1, 3])
+    assert info.value.solution == [F(1), F(1, 2)]
+
+
+def test_system_without_columns():
+    # the extraction's dense block is empty once every key is a unit column
+    assert solve_exact([[], []], [0, F(0)]) == []
+    assert column_rank([[], []]) == 0
+    with pytest.raises(InconsistentSystemError) as info:
+        solve_exact([[], []], [0, F(1, 3)])
+    assert (info.value.row_index, info.value.residual, info.value.solution) == (1, F(-1, 3), [])
