@@ -9,11 +9,7 @@ curves, and cross-checked against the sine-kernel generating function.
 """
 
 from .characters import character_value, content_eigenvalue, irrep_dimension
-from .cutjoin import (
-    cut_and_join_hurwitz,
-    cut_and_join_layer,
-    cut_and_join_layers,
-)
+from .cutjoin import cut_and_join_hurwitz, cut_and_join_layers
 from .engines import (
     brute_force_hurwitz,
     connected_hurwitz,
@@ -57,7 +53,6 @@ __all__ = [
     "frobenius_disconnected",
     "connected_hurwitz",
     "genus_zero_closed_form",
-    "cut_and_join_layer",
     "cut_and_join_layers",
     "cut_and_join_hurwitz",
     "HodgeTable",

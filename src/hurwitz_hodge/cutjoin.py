@@ -20,17 +20,18 @@ the hand-derived layers F_1 = p_2/2, F_2 = p_1^2/2 + p_3 and
 F_3 = p_2/2 + 4 p_1 p_2 + 4 p_4.  Monomials of weight above the truncation
 bound are dropped, so a layer list is valid only for |mu| <= kmax.
 
-Each step runs in integers.  Every coefficient of a truncated layer is
+Layers are kept in integers.  Every coefficient of a truncated layer is
 h_{g;mu} with |mu| <= kmax, and k! h_{g;mu} counts transposition tuples, so
-the layer times kmax! is integral; ``cut_and_join_layer`` works on these
-numerators over the fixed denominator kmax!.  It builds each layer's table
-of first derivatives once and reads the second derivatives of the linear
-step off it.  In the quadratic term a coefficient of dF/dp_i at a monomial
-of weight w has a denominator dividing (w+i)!, and (w1+i)! (w2+j)! divides
-kmax!, so the product of two numerators is kmax! times an integer.  The
-step accumulates 2 F_r kmax!^2 exactly and divides by 2 kmax! once; a
-remainder there, or an input coefficient whose denominator does not divide
-kmax!, raises ``ConsistencyError``.  Nothing is rounded.
+the layer times kmax! is integral.  Each layer is stored once, as these
+numerators over kmax! with its table of first derivatives, both built when
+the layer is appended.  ``cut_and_join_layer`` reads the tables of
+F_0..F_{r-1} (second derivatives come off the last one) and returns the
+numerators of F_r.  A coefficient of dF/dp_i at a monomial of weight w has
+a denominator dividing (w+i)!, and (w1+i)! (w2+j)! divides kmax!, so in the
+quadratic term the product of two numerators is kmax! times an integer.
+The step accumulates 2 F_r kmax!^2 and divides by 2 kmax! once; a
+remainder raises ``ConsistencyError``.  ``Fraction`` appears only in the
+public read-outs; nothing is rounded.
 """
 
 from __future__ import annotations
@@ -47,28 +48,15 @@ DEFAULT_TRUNCATION = 10
 
 # a polynomial is a dict: monomial (partition tuple, weakly decreasing) -> coefficient
 PPoly = dict[tuple[int, ...], Fraction]
+# a layer's numerators over kmax!, and its table {i: rows of dF/dp_i}
+Numerators = dict[tuple[int, ...], int]
+Table = dict[int, list[tuple[int, tuple[int, ...], int]]]
 
 
-def _numerators(layer: PPoly, scale: int) -> dict[tuple[int, ...], int]:
-    """The layer times ``scale``, as integers; a coefficient whose
-    denominator does not divide ``scale`` cannot come from a truncated layer."""
-    out = {}
-    for mono, coeff in layer.items():
-        coeff = Fraction(coeff)
-        factor, rem = divmod(scale, coeff.denominator)
-        if rem:
-            raise ConsistencyError(
-                f"cut-and-join coefficient {coeff} of p_{mono} has a denominator not dividing {scale}"
-            )
-        if coeff:
-            out[mono] = coeff.numerator * factor
-    return out
-
-
-def _first_derivatives(poly: dict[tuple[int, ...], int]):
+def _first_derivatives(poly: Numerators) -> Table:
     """{i: d poly / d p_i} for every nonzero derivative, built in one pass,
     each as (weight, monomial, coefficient) rows, lightest first."""
-    table: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
+    table: Table = {}
     for mono, coeff in poly.items():
         weight = sum(mono)
         for pos, i in enumerate(mono):
@@ -81,13 +69,11 @@ def _first_derivatives(poly: dict[tuple[int, ...], int]):
     return table
 
 
-def cut_and_join_layer(layers: list[PPoly], kmax: int = DEFAULT_TRUNCATION) -> PPoly:
-    """Next layer F_r from the previous layers [F_0, ..., F_{r-1}]."""
-    if not layers:
-        return {(1,): Fraction(1)}
-    r = len(layers)
+def cut_and_join_layer(tables: list[Table], kmax: int = DEFAULT_TRUNCATION) -> Numerators:
+    """Numerators over kmax! of the next layer F_r, from the derivative
+    tables of the previous layers [F_0, ..., F_{r-1}]."""
+    r = len(tables)
     scale = factorial(kmax)
-    tables = [_first_derivatives(_numerators(layer, scale)) for layer in layers]
     # ``doubled`` collects 2 F_r scale^2 from the numerators (each carrying
     # one factor of scale): the linear step times scale, plus the join term
     doubled: dict[tuple[int, ...], int] = {}
@@ -135,7 +121,7 @@ def cut_and_join_layer(layers: list[PPoly], kmax: int = DEFAULT_TRUNCATION) -> P
                             break
                         key = tuple(sorted(head + m2, reverse=True))
                         doubled[key] = doubled.get(key, 0) + scalar * c2
-    out: PPoly = {}
+    out: Numerators = {}
     for mono, total in doubled.items():
         num, rem = divmod(total, 2 * scale)
         if rem:
@@ -143,31 +129,40 @@ def cut_and_join_layer(layers: list[PPoly], kmax: int = DEFAULT_TRUNCATION) -> P
                 f"cut-and-join layer {r}: coefficient of p_{mono} is not a multiple of 1/{scale}"
             )
         if num:
-            out[mono] = Fraction(num, scale)
+            out[mono] = num
     return out
 
 
-_LAYER_CACHE: dict[int, list[PPoly]] = {}
+# per truncation bound kmax: one (numerators, derivative table) pair per layer
+_LAYER_CACHE: dict[int, list[tuple[Numerators, Table]]] = {}
 # held while a layer list is extended, so that concurrent callers neither
 # append the same layer twice nor read a list another thread is growing
 _LAYER_LOCK = threading.Lock()
 
 
-def _layers(kmax: int, r: int) -> list[PPoly]:
+def _layers(kmax: int, r: int) -> list[tuple[Numerators, Table]]:
     if kmax < 1:
         raise ValueError("truncation bound must be at least 1")
     with _LAYER_LOCK:
-        layers = _LAYER_CACHE.setdefault(kmax, [{(1,): Fraction(1)}])
+        layers = _LAYER_CACHE.get(kmax)
+        if layers is None:
+            first = {(1,): factorial(kmax)}
+            layers = _LAYER_CACHE[kmax] = [(first, _first_derivatives(first))]
         while len(layers) <= r:
-            layers.append(cut_and_join_layer(layers, kmax))
+            # through the module attribute, once per new layer, so that a
+            # wrapper on cutjoin.cut_and_join_layer sees every layer built
+            layer = cut_and_join_layer([table for _, table in layers], kmax)
+            layers.append((layer, _first_derivatives(layer)))
     return layers
 
 
 def cut_and_join_layers(r: int, kmax: int = DEFAULT_TRUNCATION) -> list[PPoly]:
-    """Copies of the layers F_0..F_r truncated at weight kmax."""
+    """The layers F_0..F_r truncated at weight kmax, as new dicts."""
     if r < 0:
         raise ValueError("layer index must be nonnegative")
-    return [dict(layer) for layer in _layers(kmax, r)[: r + 1]]
+    scale = factorial(kmax)
+    return [{mono: Fraction(num, scale) for mono, num in layer.items()}
+            for layer, _ in _layers(kmax, r)[: r + 1]]
 
 
 def cut_and_join_hurwitz(
@@ -189,4 +184,4 @@ def cut_and_join_hurwitz(
     if r > r_bound:
         raise InfeasibleError(f"cut-and-join infeasible: r={r} exceeds bound {r_bound}")
     mu = tuple(sorted(profile, reverse=True))
-    return Fraction(_layers(kmax, r)[r].get(mu, 0))
+    return Fraction(_layers(kmax, r)[r][0].get(mu, 0), factorial(kmax))

@@ -60,7 +60,7 @@ from .linsolve import (
     column_rank,
     solve_exact,
 )
-from .partitions import aut_count, check_profile, partitions_of
+from .partitions import aut_count, check_profile
 
 # (g, n, psi exponents ascending, lambda index)
 HodgeKey = tuple[int, int, tuple[int, ...], int]
@@ -132,17 +132,25 @@ def normalized_value(g: int, profile, hurwitz=None) -> Fraction:
 def hodge_keys(g: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
     """The (j, b) pairs appearing in P at (g, n): lambda index j in [0, g]
     and ascending psi exponents b with sum(b) + j = 3g - 3 + n.  Order is
-    deterministic (j ascending, then the partition enumeration order)."""
+    deterministic: j ascending, then the nonzero exponents of b as a
+    partition, lexicographically descending (the order of partitions_of)."""
     _require_stable(g, n)
-    dim = 3 * g - 3 + n
     keys = []
+
+    def descend(j: int, remaining: int, largest: int, parts: tuple[int, ...]) -> None:
+        # the partitions of ``remaining`` into at most n - len(parts) parts
+        # no larger than ``largest``, lexicographically descending; a part
+        # below remaining / slots leaves too few slots, so none is tried
+        if remaining == 0:
+            keys.append((j, (0,) * (n - len(parts)) + parts[::-1]))
+            return
+        slots = n - len(parts)
+        for part in range(min(remaining, largest), -(-remaining // slots) - 1, -1):
+            descend(j, remaining - part, part, parts + (part,))
+
     for j in range(g + 1):
-        s = dim - j
-        if s < 0:
-            continue
-        for lam in partitions_of(s):
-            if len(lam) <= n:
-                keys.append((j, tuple(sorted(lam + (0,) * (n - len(lam))))))
+        s = 3 * g - 3 + n - j  # at least 2g - 3 + n >= 0, as (g, n) is stable
+        descend(j, s, s, ())
     return keys
 
 
@@ -162,10 +170,14 @@ def _monomial_sum(b, ks, memo=None, power=pow) -> int:
     value = memo.get((b, ks))
     if value is None:
         head, tail = ks[0], ks[1:]
-        value = memo[b, ks] = sum(
-            power(head, e) * _monomial_sum(b[:i] + b[i + 1:], tail, memo, power)
-            for i, e in enumerate(b) if i == 0 or e != b[i - 1]
-        )
+        value = 0
+        for i, e in enumerate(b):
+            if i and e == b[i - 1]:
+                continue
+            factor = power(head, e)
+            if factor:  # a zero residue needs no tail sum
+                value += factor * _monomial_sum(b[:i] + b[i + 1:], tail, memo, power)
+        memo[b, ks] = value
     return value
 
 

@@ -56,6 +56,11 @@ def test_infeasible_exit_2(capsys):
     assert code == 2
 
 
+def test_brute_force_long_run_exit_2(capsys):
+    code, _, err = run_cli(capsys, "hurwitz", "--engine", "brute", "--genus", "1000000", "--profile", "1")
+    assert code == 2 and "work bound" in err
+
+
 def test_raised_bounds_via_flags(capsys):
     # one-pole genus 0 is k^(k-3); for k = 11 that is 11^8
     code, out, _ = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "11", "--kmax", "11")

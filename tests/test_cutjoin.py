@@ -26,9 +26,36 @@ def test_hand_derived_layers():
 
 
 def test_single_step_matches_layer_list():
+    # the step over the derivative tables of F_0..F_{r-1} gives the
+    # numerators of F_r over 6!
     layers = cut_and_join_layers(4, kmax=6)
+    stored = cutjoin._LAYER_CACHE[6]
     for r in range(1, 5):
-        assert cut_and_join_layer(layers[:r], kmax=6) == layers[r]
+        step = cut_and_join_layer([table for _, table in stored[:r]], kmax=6)
+        assert step == {mono: value * 720 for mono, value in layers[r].items()}
+        assert step == stored[r][0]
+
+
+def test_each_derivative_table_is_built_once(monkeypatch):
+    builds, steps = [], []
+    first_derivatives, layer = cutjoin._first_derivatives, cutjoin.cut_and_join_layer
+
+    def counting_tables(poly):
+        builds.append(len(poly))
+        return first_derivatives(poly)
+
+    def counting_steps(tables, kmax):
+        steps.append(len(tables))
+        return layer(tables, kmax)
+
+    monkeypatch.setattr(cutjoin, "_LAYER_CACHE", {})
+    monkeypatch.setattr(cutjoin, "_first_derivatives", counting_tables)
+    monkeypatch.setattr(cutjoin, "cut_and_join_layer", counting_steps)
+    cut_and_join_layers(22, kmax=10)
+    assert len(builds) == 23
+    assert steps == list(range(1, 23))
+    cut_and_join_layers(22, kmax=10)
+    assert len(builds) == 23 and len(steps) == 22
 
 
 def test_coefficient_examples():
@@ -133,6 +160,7 @@ def test_every_coefficient_matches_character_engine():
 
 
 def test_layer_outside_denominator_raises():
-    # a coefficient with denominator 7 cannot occur in a layer truncated at 6
-    with pytest.raises(ConsistencyError, match="denominator"):
-        cut_and_join_layer([{(1,): F(1)}, {(2,): F(1, 7)}], kmax=6)
+    # F_0 = p_1 has numerator 6! = 720 at kmax = 6; a table claiming 1 makes
+    # the join term of F_1 a multiple of 1/1440, not of 1/720
+    with pytest.raises(ConsistencyError, match="not a multiple of 1/720"):
+        cut_and_join_layer([{1: [(0, (), 1)]}], kmax=6)

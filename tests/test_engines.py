@@ -316,6 +316,26 @@ def test_brute_force_sheet_bound():
         brute_force_hurwitz(0, (3, 2), work_bound=10)
 
 
+def test_brute_force_work_bound_rejects_long_runs(monkeypatch):
+    # one or two sheets step almost nothing per transposition, yet every
+    # step keeps a summary: a genus of 10^6 must be refused before any step
+    def no_steps(k, r):
+        raise AssertionError(f"stepped {k} sheets to r={r}")
+
+    monkeypatch.setattr(engines, "_brute_summaries", no_steps)
+    for profile in ((1,), (2,)):
+        with pytest.raises(InfeasibleError, match="work bound"):
+            brute_force_hurwitz(10 ** 6, profile)
+
+
+def test_brute_force_work_estimate_accepts_small_queries():
+    # every brute-force key of verify engines and of the auto checks has
+    # k <= 5 and r <= 12
+    assert engines._brute_work(5, 12) <= engines.DEFAULT_WORK_BOUND
+    assert all(engines._brute_work(k, r) > 0 for k in range(1, 6) for r in range(3))
+    assert [engines._state_bound(k) for k in range(1, 6)] == [1, 3, 13, 73, 501]
+
+
 def test_character_engine_bounds():
     with pytest.raises(InfeasibleError, match="bound"):
         connected_hurwitz(0, (11,))

@@ -22,6 +22,7 @@ from hurwitz_hodge.hodge import (
     weight_w,
 )
 from hurwitz_hodge.linsolve import column_rank, solve_exact
+from hurwitz_hodge.partitions import partitions_of
 
 F = Fraction
 
@@ -50,6 +51,22 @@ def _oracle_table(g, n, bound, hurwitz):
     rhs = [normalized_value(g, point, hurwitz) for point in points]
     solution = solve_exact(_design_matrix(keys, points), rhs)
     return {(g, n, b, j): value for (j, b), value in zip(keys, solution)}, len(points) - len(keys)
+
+
+def test_hodge_keys_match_filtered_partitions():
+    # the direct enumeration of partitions with at most n parts gives the
+    # same keys, in the same order, as filtering every partition of s
+    for g in range(7):
+        for n in range(1, 20 - 3 * g):
+            if not is_stable(g, n):
+                continue
+            expected = [
+                (j, tuple(sorted(lam + (0,) * (n - len(lam)))))
+                for j in range(g + 1)
+                for lam in partitions_of(3 * g - 3 + n - j)
+                if len(lam) <= n
+            ]
+            assert hodge_keys(g, n) == expected, (g, n)
 
 
 def test_prefactor_examples():
