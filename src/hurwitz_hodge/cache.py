@@ -32,13 +32,8 @@ except ImportError:  # no flock (Windows): reads may see a torn append
 
 SCHEMA_LINE = "schema=hurwitz-hodge-cache/1"
 
-_FIELD_ORDER = {
-    "hurwitz": ("kind", "g", "mu", "engine", "value"),
-    "hodge": ("kind", "g", "n", "b", "j", "engine", "value"),
-    "degll": ("kind", "g", "mu", "engine", "value"),
-}
-
-# fields a record of each kind is read by, beyond kind and value
+# fields a record of each kind is read by, beyond kind and value; a record
+# is written as kind, these fields, engine, value, then any others sorted
 _REQUIRED = {
     "hurwitz": ("g", "mu"),
     "hodge": ("g", "n", "b", "j"),
@@ -169,7 +164,8 @@ def describe(path: str, record: dict[str, str]) -> str:
 
 
 def _line(record: dict[str, str]) -> str:
-    order = _FIELD_ORDER.get(record.get("kind"), ())
+    kind = record.get("kind")
+    order = ("kind", *_REQUIRED[kind], "engine", "value") if kind in _REQUIRED else ()
     fields = [f"{name}={record[name]}" for name in order if name in record]
     fields += [f"{name}={record[name]}" for name in sorted(record) if name not in order]
     return " ".join(fields)

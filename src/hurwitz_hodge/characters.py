@@ -8,42 +8,31 @@ sign (-1)^(number of particles jumped over); this is the fermionic picture
 of Okounkov, "Toda equations for Hurwitz numbers" (2000).  The Schur
 expansion of the power sum p_mu is built bottom up, one strip per part of
 mu, and memoized by (descending class suffix, particle count); a character
-value is a lookup of the shape's mask in its class's expansion.  The
-memoized expansions are never mutated once built, and all arithmetic is
-integer.
+value is a lookup of the shape's mask in its class's expansion, and a
+dimension is Frobenius' formula on the shape's beta-set.  The memoized
+expansions are never mutated once built, and all arithmetic is integer.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 
 from .partitions import check_partition
-
-
-def _conjugate(lam: tuple[int, ...]) -> list[int]:
-    conj = [0] * lam[0]
-    for row in lam:
-        for j in range(row):
-            conj[j] += 1
-    return conj
 
 
 def irrep_dimension(lam) -> int:
     """Number of standard Young tableaux of the given shape.
 
-    Hook-length formula; the product of hooks always divides k!, so the
-    division at the end is exact.
+    Frobenius' formula on the beta-set b_i = lam_i + N - 1 - i of the N
+    rows: k! prod_{i<j} (b_i - b_j) / prod_i b_i!.  The division is exact,
+    and the value does not depend on N.
     """
     lam = check_partition(lam)
-    if not lam:
-        return 1
-    conj = _conjugate(lam)
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hooks *= row - j + conj[j] - i - 1
-    return factorial(sum(lam)) // hooks
+    beta = [row + len(lam) - 1 - i for i, row in enumerate(lam)]
+    spread = prod(b - c for b, c in combinations(beta, 2))
+    return factorial(sum(lam)) * spread // prod(map(factorial, beta))
 
 
 def character_value(lam, mu) -> int:

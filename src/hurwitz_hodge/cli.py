@@ -36,15 +36,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _bound(text: str) -> int:
     # engine bounds: zero is a real bound (--rmax 0 serves h(0; 1)), a
     # negative one is a usage error naming the flag
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
+def _grid_bound(text: str) -> int:
+    # rejected while parsing, so that a full cache hit, which never reaches
+    # extract_hodge_integrals and its own check, still refuses it
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"grid_bound must be a positive integer, got {value}")
     return value
 
 
@@ -69,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     hdg = sub.add_parser("hodge", help="extract a table of psi/lambda integrals")
     hdg.add_argument("--genus", type=int, required=True)
     hdg.add_argument("--points", type=int, required=True, help="number of marked points n")
-    hdg.add_argument("--grid-bound", type=int, default=None)
+    hdg.add_argument("--grid-bound", type=_grid_bound, default=None)
     hdg.add_argument("--format", choices=("records", "table"), default="records")
     hdg.add_argument("--cache", help="append-only cache file")
     hdg.add_argument("--kmax", type=_bound, default=engines.DEFAULT_K_BOUND)

@@ -56,7 +56,6 @@ from . import engines
 from .errors import ConsistencyError, InfeasibleError
 from .linsolve import (
     InconsistentSystemError,
-    RankDeficientError,
     column_rank,
     solve_exact,
 )
@@ -401,7 +400,8 @@ def extract_hodge_integrals(
     One equation per sorted profile in {1..B}^n with B = ``grid_bound``
     (defaults to ``minimal_grid_bound``), solved by interpolation and the
     dense block (see the module docstring).  The system must have full
-    column rank ("grid too small" otherwise) and zero residual on every
+    column rank ("grid too small" otherwise; an explicit bound is checked
+    after the corner count and before any other) and zero residual on every
     surplus row (ConsistencyError otherwise, naming a grid profile where
     the solved polynomial misses the count).  ``hurwitz`` is an optional
     callable (g, profile) -> Fraction replacing the default connected
@@ -426,18 +426,19 @@ def extract_hodge_integrals(
     # rank probe runs or the C(B + n - 1, n) grid points are listed.
     hurwitz(g, (bound,) * n)
     if grid_bound is None:
-        bound = minimal_grid_bound(g, n)
+        bound = minimal_grid_bound(g, n)  # full rank by construction
     system = _reduced_system(g, n, bound)
+    if grid_bound is not None and (rank := column_rank(system.block)) < len(system.dense):
+        raise InfeasibleError(
+            f"grid too small for (g={g}, n={n}): {{1..{bound}}}^{n} does not determine"
+            f" the keys with an exponent of {bound} or more (column rank {rank} below"
+            f" {len(system.dense)})"
+        )
     points = list(combinations_with_replacement(range(1, bound + 1), n))
     values = {point: normalized_value(g, point, hurwitz) for point in points}
     coefficients = _interpolate(values, n, bound)
     try:
         dense = solve_exact(system.block, [coefficients[beta] for beta in system.free])
-    except RankDeficientError as exc:
-        raise InfeasibleError(
-            f"grid too small for (g={g}, n={n}): {{1..{bound}}}^{n} does not determine"
-            f" the keys with an exponent of {bound} or more ({exc})"
-        ) from exc
     except InconsistentSystemError as exc:
         # Some grid profile must miss, since the reduction is invertible.
         solution = _back_substitute(system, coefficients, exc.solution)

@@ -65,6 +65,19 @@ def _border_strip(lam, mu):
     return total
 
 
+def _hook_length(shape):
+    """Independent oracle: the hook-length formula, k! over the product of
+    every cell's hook, with the hooks read off the conjugate shape."""
+    if not shape:
+        return 1
+    conj = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= row - j + conj[j] - i - 1
+    return factorial(sum(shape)) // hooks
+
+
 def test_dimension_examples():
     assert irrep_dimension((2, 1)) == 2
     assert irrep_dimension((2, 2)) == 2
@@ -77,6 +90,13 @@ def test_dimension_examples():
 def test_dimension_against_tableau_enumeration(k):
     for lam in partitions_of(k):
         assert irrep_dimension(lam) == _count_syt(lam)
+
+
+def test_dimension_against_hook_length():
+    shapes = [lam for k in range(21) for lam in partitions_of(k)]
+    assert len(shapes) == 2714
+    for lam in shapes:
+        assert irrep_dimension(lam) == _hook_length(lam)
 
 
 @pytest.mark.parametrize("k", range(1, 9))

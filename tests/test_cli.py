@@ -152,6 +152,16 @@ def test_hodge_cache_round_trip(capsys, tmp_path):
     assert len(Path(cache).read_text().splitlines()) == 3  # header + two records
 
 
+def test_bad_grid_bound_rejected_on_cache_hit(capsys, tmp_path):
+    cache = str(tmp_path / "cache.txt")
+    argv = ("hodge", "--genus", "1", "--points", "1", "--cache", cache)
+    assert run_cli(capsys, *argv)[0] == 0
+    for bound in ("-3", "0"):
+        code, out, err = run_cli(capsys, *argv, "--grid-bound", bound)
+        assert code == 1 and out == ""
+        assert f"grid_bound must be a positive integer, got {bound}" in err
+
+
 def test_hodge_cache_appends_only_missed_keys(capsys, tmp_path):
     cache = tmp_path / "cache.txt"
     argv = ("hodge", "--genus", "1", "--points", "2", "--cache", str(cache))

@@ -158,6 +158,20 @@ def test_explicit_grid_too_small():
         extract_hodge_integrals(2, 1, grid_bound=3)
 
 
+def test_explicit_bound_rank_checked_after_the_corner_only():
+    # (2, 3) needs B = 5; at B = 4 the dense block is rank-deficient, which
+    # must be found before any count beyond the corner is asked for
+    calls = []
+
+    def provider(g, profile):
+        calls.append(profile)
+        return connected_hurwitz(g, profile, k_bound=40, r_bound=80)
+
+    with pytest.raises(InfeasibleError, match="does not determine the keys"):
+        extract_hodge_integrals(2, 3, grid_bound=4, hurwitz=provider)
+    assert calls == [(4, 4, 4)]
+
+
 def test_minimal_grid_bound_includes_rank():
     # point count alone would give 4 at (2, 3); rank needs 5
     assert minimal_grid_bound(2, 3) == 5
