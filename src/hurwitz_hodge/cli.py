@@ -186,9 +186,9 @@ def _cmd_hurwitz(args) -> int:
 
 def _cmd_hodge(args) -> int:
     g, n = args.genus, args.points
-    keys = hodge.hodge_keys(g, n)  # validates stability up front
     table = None
     if args.cache:
+        keys = hodge.hodge_keys(g, n)
         hits = cache_store.find(
             args.cache, [("hodge", str(g), str(n), ",".join(map(str, b)), str(j)) for j, b in keys]
         )

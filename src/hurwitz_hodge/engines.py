@@ -56,10 +56,7 @@ def ramification_count(g: int, profile) -> int:
     profile = check_profile(profile)
     if not isinstance(g, int) or g < 0:
         raise ValueError(f"genus must be a nonnegative integer, got {g!r}")
-    d = sum(profile) + len(profile) + 2 * g - 2
-    if d < 0:
-        raise ValueError(f"negative branch-point count for genus {g} and profile {profile}")
-    return d
+    return sum(profile) + len(profile) + 2 * g - 2
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +247,10 @@ def frobenius_disconnected(
 @lru_cache(maxsize=None)
 def _labeled_connected(mu: tuple[int, ...], r: int) -> int:
     """k! * #Aut(mu) times the connected Hurwitz number for class mu
-    realized with r transpositions, an integer; zero when r fits no genus."""
-    k, n = sum(mu), len(mu)
-    twice_genus = r - k - n + 2
-    if twice_genus < 0 or twice_genus % 2:
-        return 0
+    realized with r transpositions, an integer.  r must fit a genus, that
+    is r = k + n + 2g - 2 for some g >= 0: connected_hurwitz passes
+    ramification_count, and the recursion below steps through such r only."""
+    k = sum(mu)
     total = aut_count(mu) * _disconnected(mu, r)
     # Every component of a covering carries at least one pole, so the
     # disconnected count splits over the proper pole subsets sharing a

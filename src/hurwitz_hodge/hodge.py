@@ -153,6 +153,19 @@ def hodge_keys(g: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
     return keys
 
 
+def _key_count(g: int, n: int) -> int:
+    """len(hodge_keys(g, n)) without listing the keys: for each j, the
+    partitions of 3g - 3 + n - j into at most n parts, counted as the
+    partitions into parts of size at most n."""
+    _require_stable(g, n)
+    top = 3 * g - 3 + n
+    ways = [1] + [0] * top
+    for part in range(1, n + 1):
+        for total in range(part, top + 1):
+            ways[total] += ways[total - part]
+    return sum(ways[top - g:])
+
+
 def _monomial_sum(b, ks, memo=None, power=pow) -> int:
     """m_b(k_1..k_n), the sum of prod_i k_i^{b'_i} over the distinct
     rearrangements b' of b, by the first-variable recursion
@@ -185,6 +198,7 @@ class HodgeTable:
 
     ``grid_bound`` and ``surplus_rows`` record, per (g, n), the grid used by
     the extraction and how many surplus equations were residual-checked.
+    Tables are saved and reloaded through the cache (``hodge --cache``).
     """
 
     def __init__(self):
@@ -204,9 +218,6 @@ class HodgeTable:
     def get(self, g: int, n: int, b, j: int) -> Fraction:
         return self.values[(g, n, tuple(sorted(b)), j)]
 
-    def __contains__(self, key: HodgeKey) -> bool:
-        return key in self.values
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -220,28 +231,6 @@ class HodgeTable:
             f"g={g} n={n} b={','.join(map(str, b))} j={j} value={self.values[(g, n, b, j)]}"
             for g, n, b, j in self.sorted_keys()
         ]
-
-    @classmethod
-    def from_lines(cls, lines) -> "HodgeTable":
-        table = cls()
-        for raw in lines:
-            line = raw.strip()
-            if not line:
-                continue
-            fields = {}
-            for token in line.split():
-                name, eq, value = token.partition("=")
-                if not eq:
-                    raise ValueError(f"malformed record {line!r}")
-                fields[name] = value
-            try:
-                g, n, j = int(fields["g"]), int(fields["n"]), int(fields["j"])
-                b = tuple(int(x) for x in fields["b"].split(","))
-                value = Fraction(fields["value"])
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"malformed record {line!r}: {exc}") from exc
-            table.set(g, n, b, j, value)
-        return table
 
 
 def _count_floor(unknowns: int, n: int) -> int:
@@ -378,7 +367,7 @@ def minimal_grid_bound(g: int, n: int) -> int:
     reduced system has full column rank; the probe needs no covering
     counts, so this is cheap.
     """
-    bound = _count_floor(len(hodge_keys(g, n)), n)
+    bound = _count_floor(_key_count(g, n), n)
     while True:
         system = _reduced_system(g, n, bound)
         if column_rank(system.block) == len(system.dense):
@@ -407,23 +396,24 @@ def extract_hodge_integrals(
     callable (g, profile) -> Fraction replacing the default connected
     engine.
     """
-    _require_stable(g, n)
-    keys = hodge_keys(g, n)
+    # counted, not listed: (1, 200) has 7.6e12 keys
+    unknowns = _key_count(g, n)
     if grid_bound is not None and (not isinstance(grid_bound, int) or grid_bound < 1):
         raise ValueError(f"grid_bound must be a positive integer, got {grid_bound!r}")
     # the count floor always has enough points; an explicit bound may not
-    bound = _count_floor(len(keys), n) if grid_bound is None else grid_bound
-    if comb(bound + n - 1, n) <= len(keys):
+    bound = _count_floor(unknowns, n) if grid_bound is None else grid_bound
+    if comb(bound + n - 1, n) <= unknowns:
         raise InfeasibleError(
             f"grid too small: {comb(bound + n - 1, n)} sorted points in"
-            f" {{1..{bound}}}^{n} cannot overdetermine {len(keys)} unknowns"
+            f" {{1..{bound}}}^{n} cannot overdetermine {unknowns} unknowns"
         )
     if hurwitz is None:
         def hurwitz(gg, prof):
             return engines.connected_hurwitz(gg, prof, k_bound=k_bound, r_bound=r_bound)
     # The corner (B, ..., B) has the largest k and r on the grid, so asking
     # for it first lets the engine reject a bound it cannot serve before the
-    # rank probe runs or the C(B + n - 1, n) grid points are listed.
+    # keys or the C(B + n - 1, n) grid points are listed or the rank probe
+    # runs.
     hurwitz(g, (bound,) * n)
     if grid_bound is None:
         bound = minimal_grid_bound(g, n)  # full rank by construction
@@ -446,17 +436,17 @@ def extract_hodge_integrals(
         profile, residual = next(
             (point, r) for point in points
             if (r := sum((-1) ** j * x * _monomial_sum(b, point, memo)
-                         for (j, b), x in zip(keys, solution)) - values[point])
+                         for (j, b), x in zip(system.keys, solution)) - values[point])
         )
         raise ConsistencyError(
             f"nonzero residual extracting (g={g}, n={n}) integrals at profile"
             f" {profile}: {residual}"
         ) from exc
     table = HodgeTable()
-    for (j, b), value in zip(keys, _back_substitute(system, coefficients, dense)):
+    for (j, b), value in zip(system.keys, _back_substitute(system, coefficients, dense)):
         table.set(g, n, b, j, value)
     table.grid_bound[(g, n)] = bound
-    table.surplus_rows[(g, n)] = len(points) - len(keys)
+    table.surplus_rows[(g, n)] = len(points) - unknowns
     return table
 
 
@@ -478,7 +468,6 @@ def hurwitz_from_hodge(
         raise ValueError(f"unknown lambda_signs {lambda_signs!r}")
     profile = check_profile(profile)
     n = len(profile)
-    _require_stable(g, n)
     keys = hodge_keys(g, n)
     missing = [(g, n, b, j) for j, b in keys if (g, n, b, j) not in table.values]
     if missing:

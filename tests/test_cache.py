@@ -319,6 +319,15 @@ def test_find_looks_up_what_read_records_returns(tmp_path, monkeypatch):
     assert cache.find(path, [("hurwitz", "1", "2")]) == [dict(first, engine="x")]
 
 
+def test_round_trip_without_flock(tmp_path, monkeypatch):
+    # where fcntl is missing, appends and reads go unlocked
+    monkeypatch.setattr(cache, "fcntl", None)
+    path = str(tmp_path / "cache.txt")
+    record = {"kind": "hurwitz", "g": "1", "mu": "2", "engine": "frobenius", "value": "1/2"}
+    append_records(path, [record])
+    assert read_records(path) == [record]
+
+
 def test_append_after_unterminated_line_keeps_both_records(tmp_path):
     path = tmp_path / "cache.txt"
     older = {"kind": "hurwitz", "g": "0", "mu": "1,1,1", "engine": "frobenius", "value": "4"}

@@ -42,6 +42,8 @@ def test_bad_arguments_exit_1(capsys):
     assert main(["hurwitz", "--genus", "0", "--profile", "3", "--engine", "magic"]) == 1
     assert main(["verify", "nonsense"]) == 1
     assert main([]) == 1
+    code, _, err = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "2", "--kmax", "abc")
+    assert code == 1 and "--kmax" in err
     for bound in ("-3", "0"):
         code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--points", "1", "--grid-bound", bound)
         assert code == 1 and "grid_bound must be a positive integer" in err
@@ -330,6 +332,23 @@ def test_verify_degll_recomputes_genus_one_records(capsys, tmp_path):
     assert "degll g=30/mu=2 nonnegative-integer 2 pass" in lines
 
 
+def test_verify_degll_checks_only_hurwitz_records(capsys, tmp_path):
+    # a hodge record is not a covering count; degll skips it, even when wrong
+    cache = tmp_path / "cache.txt"
+    cache.write_text(
+        "schema=hurwitz-hodge-cache/1\n"
+        "kind=hodge g=1 n=1 b=1 j=0 engine=extraction value=5/24\n"
+        "kind=hurwitz g=1 mu=2 engine=frobenius value=1/2\n"
+    )
+    plain = run_cli(capsys, "verify", "degll")[1].splitlines()
+    code, out, _ = run_cli(capsys, "verify", "degll", "--cache", str(cache))
+    assert code == 0
+    assert out.splitlines() == plain + [
+        "degll g=1/mu=2 nonnegative-integer 1 pass",
+        "degll g=1/mu=2/frobenius 1/2 1/2 pass",
+    ]
+
+
 def test_verify_missing_cache_exit_1(capsys, tmp_path):
     missing = str(tmp_path / "missing.txt")
     code, out, err = run_cli(capsys, "verify", "degll", "--cache", missing)
@@ -461,10 +480,13 @@ def test_huge_grid_bound_fails_fast():
     assert "exceeds bound" in result.stderr
 
 
-def test_infeasible_default_grid_fails_fast():
-    # the count-floor corner trips the engine's bound before the rank probe
+@pytest.mark.parametrize("genus, points", [(5, 4), (1, 200), (30, 8)])
+def test_infeasible_default_grid_fails_fast(genus, points):
+    # the count-floor corner trips the engine's bound before the rank probe;
+    # (1, 200) has 7.6e12 keys and (30, 8) 15,089,034, so none may be listed
     result = subprocess.run(
-        [sys.executable, "-m", "hurwitz_hodge", "hodge", "--genus", "5", "--points", "4"],
+        [sys.executable, "-m", "hurwitz_hodge", "hodge", "--genus", str(genus),
+         "--points", str(points)],
         capture_output=True,
         text=True,
         timeout=60,

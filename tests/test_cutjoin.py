@@ -93,6 +93,10 @@ def test_truncation_bound_error():
     # same request succeeds with a bigger carrier
     value = cut_and_join_hurwitz(0, (7, 4), kmax=11, r_bound=40)
     assert value == connected_hurwitz(0, (7, 4), k_bound=11)
+    with pytest.raises(ValueError, match="layer index"):
+        cut_and_join_layers(-1)
+    with pytest.raises(ValueError, match="truncation bound"):
+        cut_and_join_layers(0, kmax=0)
 
 
 def test_r_bound_error():

@@ -343,6 +343,8 @@ def test_character_engine_bounds():
         connected_hurwitz(20, (2,))
     with pytest.raises(InfeasibleError, match="bound"):
         frobenius_disconnected((11,), 2)
+    with pytest.raises(InfeasibleError, match="r=41 exceeds bound 40"):
+        frobenius_disconnected((2,), 41)
     assert connected_hurwitz(0, (11,), k_bound=11) == genus_zero_closed_form((11,))
 
 

@@ -118,6 +118,17 @@ def test_unstable_rejected():
         extract_hodge_integrals(0, 2)
     with pytest.raises(ValueError, match="unstable"):
         hurwitz_from_hodge(0, (3,), HodgeTable())
+    for g, n in [(-1, 3), (1, 0), (1.0, 1)]:
+        with pytest.raises(ValueError, match=r"invalid \(g, n\)"):
+            extract_hodge_integrals(g, n)
+
+
+def test_key_count_matches_listed_keys():
+    # the extraction's bounds count the keys without listing them
+    for g in range(8):
+        for n in range(1, 22 - 3 * g):
+            if is_stable(g, n):
+                assert hodge._key_count(g, n) == len(hodge_keys(g, n)), (g, n)
 
 
 def test_hodge_key_counts():
@@ -156,6 +167,9 @@ def test_extraction_g2_n1():
 def test_explicit_grid_too_small():
     with pytest.raises(InfeasibleError, match="grid too small"):
         extract_hodge_integrals(2, 1, grid_bound=3)
+    for bound in (0, 2.5):
+        with pytest.raises(ValueError, match="grid_bound must be a positive integer"):
+            extract_hodge_integrals(1, 1, grid_bound=bound)
 
 
 def test_explicit_bound_rank_checked_after_the_corner_only():
@@ -333,10 +347,6 @@ def test_serialization_round_trip():
         "g=2 n=1 b=3 j=1 value=1/480",
         "g=2 n=1 b=4 j=0 value=1/1152",
     ]
-    again = HodgeTable.from_lines(lines)
-    assert again.values == table.values
-    with pytest.raises(ValueError, match="malformed"):
-        HodgeTable.from_lines(["g=1 n=1 nonsense"])
 
 
 def test_tables_merge_across_moduli():

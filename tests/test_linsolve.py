@@ -127,6 +127,7 @@ def test_randomized_known_rank():
 
 
 def test_shape_validation():
+    assert column_rank([]) == 0
     with pytest.raises(ValueError):
         solve_exact([], [])
     with pytest.raises(ValueError):

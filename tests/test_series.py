@@ -73,6 +73,13 @@ def test_hodge_side_missing_key():
         hodge_side_coefficient(1, 1, HodgeTable())
 
 
+def test_genus_below_one_rejected():
+    with pytest.raises(ValueError, match="genus 1"):
+        hodge_side_coefficient(0, 1, extract_hodge_integrals(1, 1))
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_faber_pandharipande(0)
+
+
 def test_identity_g1():
     checks = verify_faber_pandharipande(1, (1, 2, 3))
     assert all_pass(checks)
