@@ -13,6 +13,7 @@ ever rounded.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -184,16 +185,21 @@ def _cmd_hurwitz(args) -> int:
 # hodge
 
 
+def _hodge_cache_key(g, n, b, j) -> tuple[str, ...]:
+    return ("hodge", str(g), str(n), ",".join(map(str, b)), str(j))
+
+
 def _cmd_hodge(args) -> int:
     g, n = args.genus, args.points
     table = None
-    if args.cache:
+    # a cache with fewer records than (g, n) has keys cannot hold the table;
+    # then no key is listed, and the extraction refuses at its count floor
+    if args.cache and os.path.exists(args.cache) and (
+        hodge._key_count(g, n) <= len(cache_store.read_records(args.cache))
+    ):
         keys = hodge.hodge_keys(g, n)
-        hits = cache_store.find(
-            args.cache, [("hodge", str(g), str(n), ",".join(map(str, b)), str(j)) for j, b in keys]
-        )
-        missed = {key for key, hit in zip(keys, hits) if hit is None}
-        if not missed:
+        hits = cache_store.find(args.cache, [_hodge_cache_key(g, n, b, j) for j, b in keys])
+        if None not in hits:
             table = hodge.HodgeTable()
             for (j, b), hit in zip(keys, hits):
                 table.set(g, n, b, j, cache_store.parse_field(args.cache, hit, "value", Fraction))
@@ -202,14 +208,16 @@ def _cmd_hodge(args) -> int:
             g, n, grid_bound=args.grid_bound, k_bound=args.kmax, r_bound=args.rmax
         )
         if args.cache:
+            keys = table.sorted_keys()
+            hits = cache_store.find(args.cache, [_hodge_cache_key(*key) for key in keys])
             cache_store.append_records(
                 args.cache,
                 [
                     {"kind": "hodge", "g": str(kg), "n": str(kn),
                      "b": ",".join(map(str, kb)), "j": str(kj),
                      "engine": "extraction", "value": str(table.values[(kg, kn, kb, kj)])}
-                    for kg, kn, kb, kj in table.sorted_keys()
-                    if (kj, kb) in missed
+                    for (kg, kn, kb, kj), hit in zip(keys, hits)
+                    if hit is None
                 ],
             )
     if args.format == "table":

@@ -42,7 +42,7 @@ from math import comb, factorial
 
 from .characters import character_value, content_eigenvalue, irrep_dimension
 from .errors import ConsistencyError, InfeasibleError
-from .partitions import aut_count, check_profile, partitions_of, z_order
+from .partitions import aut_count, check_profile, partition_counts, partitions_of, z_order
 
 DEFAULT_SHEET_BOUND = 5
 DEFAULT_WORK_BOUND = 10 ** 8
@@ -95,11 +95,11 @@ def _brute_work(k: int, r: int) -> int:
     default bound is about 10 s.  Each step tries C(k,2) transpositions and
     one summary pass on at most ``_state_bound(k)`` states, about 12 units
     per visit plus one unit per 2048 bits of the counts, which stay below
-    C(k,2)^r.  Each step also keeps one summary of at most p(k) counts,
-    charged 1000 units plus one per byte, which bounds the memory kept."""
+    C(k,2)^r.  Each step also keeps one summary of at most p(k) counts (p(k)
+    is counted, not listed), charged 1000 units plus one per byte kept."""
     visits = _state_bound(k) * (comb(k, 2) + 1)
     bits = r * max(comb(k, 2) - 1, 0).bit_length()
-    step = visits * (12 + bits // 2048) + 1000 + len(partitions_of(k)) * bits // 8
+    step = visits * (12 + bits // 2048) + 1000 + partition_counts(k, k)[k] * bits // 8
     return max(r, 1) * step
 
 
@@ -170,8 +170,12 @@ def brute_force_hurwitz(
         raise InfeasibleError(f"brute force infeasible: k={k} exceeds sheet bound {sheet_bound}")
     work = _brute_work(k, r)
     if work > work_bound:
+        try:
+            shown = str(work)
+        except ValueError:  # more digits than Python converts to a string
+            shown = f"of {work.bit_length()} bits"
         raise InfeasibleError(
-            f"brute force infeasible: state-space work estimate {work} exceeds work bound {work_bound}"
+            f"brute force infeasible: state-space work estimate {shown} exceeds work bound {work_bound}"
         )
     mu = tuple(sorted(profile, reverse=True))
     count = _brute_summaries(k, r)[r].get(mu, 0)

@@ -59,7 +59,7 @@ from .linsolve import (
     column_rank,
     solve_exact,
 )
-from .partitions import aut_count, check_profile
+from .partitions import aut_count, check_profile, partition_counts, partitions_of
 
 # (g, n, psi exponents ascending, lambda index)
 HodgeKey = tuple[int, int, tuple[int, ...], int]
@@ -131,39 +131,19 @@ def normalized_value(g: int, profile, hurwitz=None) -> Fraction:
 def hodge_keys(g: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
     """The (j, b) pairs appearing in P at (g, n): lambda index j in [0, g]
     and ascending psi exponents b with sum(b) + j = 3g - 3 + n.  Order is
-    deterministic: j ascending, then the nonzero exponents of b as a
-    partition, lexicographically descending (the order of partitions_of)."""
+    deterministic: j ascending, then the nonzero exponents of b in the
+    order partitions_of(3g - 3 + n - j, n) lists them."""
     _require_stable(g, n)
-    keys = []
-
-    def descend(j: int, remaining: int, largest: int, parts: tuple[int, ...]) -> None:
-        # the partitions of ``remaining`` into at most n - len(parts) parts
-        # no larger than ``largest``, lexicographically descending; a part
-        # below remaining / slots leaves too few slots, so none is tried
-        if remaining == 0:
-            keys.append((j, (0,) * (n - len(parts)) + parts[::-1]))
-            return
-        slots = n - len(parts)
-        for part in range(min(remaining, largest), -(-remaining // slots) - 1, -1):
-            descend(j, remaining - part, part, parts + (part,))
-
-    for j in range(g + 1):
-        s = 3 * g - 3 + n - j  # at least 2g - 3 + n >= 0, as (g, n) is stable
-        descend(j, s, s, ())
-    return keys
+    return [(j, (0,) * (n - len(parts)) + parts[::-1])
+            for j in range(g + 1) for parts in partitions_of(3 * g - 3 + n - j, n)]
 
 
 def _key_count(g: int, n: int) -> int:
     """len(hodge_keys(g, n)) without listing the keys: for each j, the
-    partitions of 3g - 3 + n - j into at most n parts, counted as the
-    partitions into parts of size at most n."""
+    partitions of 3g - 3 + n - j into at most n parts."""
     _require_stable(g, n)
     top = 3 * g - 3 + n
-    ways = [1] + [0] * top
-    for part in range(1, n + 1):
-        for total in range(part, top + 1):
-            ways[total] += ways[total - part]
-    return sum(ways[top - g:])
+    return sum(partition_counts(top, n)[top - g:])
 
 
 def _monomial_sum(b, ks, memo=None, power=pow) -> int:

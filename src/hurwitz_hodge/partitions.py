@@ -6,14 +6,15 @@ letters, or an unordered multiset of pole orders, and () is the empty
 partition.  A pole profile is the ordered variant: a plain tuple of
 positive integers that keeps its positions, so inclusion-exclusion over
 labeled poles can address individual entries.  ``check_partition`` and
-``check_profile`` validate tuples arriving from outside the package;
-``partitions_of`` builds valid ones and does not check them again.
+``check_profile`` validate tuples arriving from outside the package.
+Partitions are listed by ``partitions_of`` (valid, never checked again)
+and counted by ``partition_counts`` here and nowhere else.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import factorial
+from math import factorial, prod
 
 
 def check_profile(orders) -> tuple[int, ...]:
@@ -50,25 +51,42 @@ def parse_profile(text: str) -> tuple[int, ...]:
     return profile
 
 
-def partitions_of(k: int) -> list[tuple[int, ...]]:
-    """All partitions of k, each exactly once, in lexicographically
-    descending order: partitions_of(3) == [(3,), (2, 1), (1, 1, 1)].
-
-    k = 0 yields the single empty partition; negative k is rejected.
+def partitions_of(k: int, parts: int | None = None) -> list[tuple[int, ...]]:
+    """All partitions of k with at most ``parts`` parts (any number if
+    None), each exactly once, in lexicographically descending order:
+    partitions_of(3) == [(3,), (2, 1), (1, 1, 1)] and partitions_of(3, 2)
+    == [(3,), (2, 1)].  k = 0 yields the single empty partition; negative
+    k and ``parts`` below 1 are rejected.
     """
     if k < 0:
         raise ValueError("cannot partition a negative integer")
+    if parts is None:
+        parts = k
+    elif parts < 1:
+        raise ValueError(f"a partition needs room for at least one part, got parts={parts}")
     out: list[tuple[int, ...]] = []
 
     def descend(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
         if remaining == 0:
             out.append(prefix)
             return
-        for part in range(min(remaining, largest), 0, -1):
+        # a part below remaining / slots leaves too few slots, so none is tried
+        slots = parts - len(prefix)
+        for part in range(min(remaining, largest), -(-remaining // slots) - 1, -1):
             descend(remaining - part, part, prefix + (part,))
 
     descend(k, k, ())
     return out
+
+
+def partition_counts(top: int, largest: int) -> list[int]:
+    """For each t in [0, top], the number of partitions of t into parts of
+    size at most ``largest``, counted without listing any."""
+    ways = [1] + [0] * top
+    for part in range(1, min(largest, top) + 1):
+        for total in range(part, top + 1):
+            ways[total] += ways[total - part]
+    return ways
 
 
 def aut_count(profile) -> int:
@@ -83,7 +101,4 @@ def aut_count(profile) -> int:
 def z_order(mu) -> int:
     """Centralizer order prod_i i^{m_i} m_i!; equals k! divided by the size
     of the conjugacy class of cycle type mu."""
-    z = 1
-    for part, m in Counter(mu).items():
-        z *= part ** m * factorial(m)
-    return z
+    return aut_count(mu) * prod(mu)

@@ -480,16 +480,42 @@ def test_huge_grid_bound_fails_fast():
     assert "exceeds bound" in result.stderr
 
 
-@pytest.mark.parametrize("genus, points", [(5, 4), (1, 200), (30, 8)])
-def test_infeasible_default_grid_fails_fast(genus, points):
+@pytest.mark.parametrize("genus, points, cached", [
+    pytest.param(5, 4, False, id="5-4"),
+    pytest.param(1, 200, False, id="1-200"),
+    pytest.param(30, 8, False, id="30-8"),
+    pytest.param(30, 8, True, id="30-8-cache"),
+])
+def test_infeasible_default_grid_fails_fast(tmp_path, genus, points, cached):
     # the count-floor corner trips the engine's bound before the rank probe;
-    # (1, 200) has 7.6e12 keys and (30, 8) 15,089,034, so none may be listed
+    # (1, 200) has 7.6e12 keys and (30, 8) 15,089,034, so none may be listed,
+    # also not to look them up in a cache too small to hold them
+    cache = tmp_path / "cache.txt"
     result = subprocess.run(
         [sys.executable, "-m", "hurwitz_hodge", "hodge", "--genus", str(genus),
-         "--points", str(points)],
+         "--points", str(points), *(("--cache", str(cache)) if cached else ())],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert result.returncode == 2
     assert "exceeds bound" in result.stderr
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # p(2000) has 45 digits; the work estimate has more than Python prints
+    (("hurwitz", "--engine", "brute", "--genus", "0", "--profile", "2000",
+      "--brute-sheets", "10000"), "estimate of 19209 bits exceeds work bound"),
+    # the genus-9 table is refused before the kernels reach t^2000
+    (("verify", "fp-identity", "--gmax", "1000"), "k=11 exceeds bound 10"),
+], ids=["brute-2000-sheets", "fp-identity-gmax-1000"])
+def test_raised_bounds_fail_fast(argv, message):
+    result = subprocess.run(
+        [sys.executable, "-m", "hurwitz_hodge", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert message in result.stderr

@@ -328,6 +328,18 @@ def test_brute_force_work_bound_rejects_long_runs(monkeypatch):
             brute_force_hurwitz(10 ** 6, profile)
 
 
+def test_brute_force_work_estimate_lists_no_partitions(monkeypatch):
+    # p(70) = 4,087,968: the estimate counts the summary's classes, so a
+    # raised sheet bound is refused without listing them
+    def no_listing(k, parts=None):
+        raise AssertionError(f"listed the partitions of {k}")
+
+    monkeypatch.setattr(engines, "partitions_of", no_listing)
+    assert engines._brute_work(70, 1) > engines.DEFAULT_WORK_BOUND
+    with pytest.raises(InfeasibleError, match="work bound"):
+        brute_force_hurwitz(0, (70,), sheet_bound=100)
+
+
 def test_brute_force_work_estimate_accepts_small_queries():
     # every brute-force key of verify engines and of the auto checks has
     # k <= 5 and r <= 12

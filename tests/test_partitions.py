@@ -7,6 +7,7 @@ from hurwitz_hodge.partitions import (
     aut_count,
     check_partition,
     check_profile,
+    partition_counts,
     partitions_of,
     z_order,
 )
@@ -34,6 +35,28 @@ def test_partitions_of_order_is_lex_descending():
 @pytest.mark.parametrize("k", range(11))
 def test_partition_counts(k):
     assert len(partitions_of(k)) == PARTITION_COUNTS[k]
+    assert partition_counts(k, k)[k] == PARTITION_COUNTS[k]
+
+
+def test_partitions_of_with_at_most_parts():
+    assert partitions_of(3, 2) == [(3,), (2, 1)]
+    assert partitions_of(0, 1) == [()]
+    for k in range(21):
+        every = partitions_of(k)
+        for parts in range(1, k + 2):
+            assert partitions_of(k, parts) == [p for p in every if len(p) <= parts]
+    for parts in (0, -1):
+        with pytest.raises(ValueError, match=f"parts={parts}"):
+            partitions_of(3, parts)
+
+
+def test_partition_counts_match_listed_partitions():
+    assert partition_counts(4, 2) == [1, 1, 2, 2, 3]
+    assert partition_counts(0, 0) == [1]
+    for largest in range(8):
+        assert partition_counts(12, largest) == [
+            sum(1 for p in partitions_of(t) if not p or p[0] <= largest) for t in range(13)
+        ]
 
 
 def test_partitions_of_rejects_negative():
