@@ -29,7 +29,11 @@ def irrep_dimension(lam) -> int:
     rows: k! prod_{i<j} (b_i - b_j) / prod_i b_i!.  The division is exact,
     and the value does not depend on N.
     """
-    lam = check_partition(lam)
+    return _dimension(check_partition(lam))
+
+
+def _dimension(lam: tuple[int, ...]) -> int:
+    # irrep_dimension on a partition known to be valid
     beta = [row + len(lam) - 1 - i for i, row in enumerate(lam)]
     spread = prod(b - c for b, c in combinations(beta, 2))
     return factorial(sum(lam)) * spread // prod(map(factorial, beta))
@@ -87,5 +91,9 @@ def content_eigenvalue(lam) -> int:
     The sum of all transpositions acts on the irreducible indexed by lam as
     this scalar, which is what powers the class-algebra Hurwitz engine.
     """
-    lam = check_partition(lam)
+    return _content_sum(check_partition(lam))
+
+
+def _content_sum(lam: tuple[int, ...]) -> int:
+    # content_eigenvalue on a partition known to be valid
     return sum(row * (row - 1 - 2 * i) for i, row in enumerate(lam)) // 2

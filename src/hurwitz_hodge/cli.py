@@ -63,6 +63,11 @@ def _grid_bound(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command map, command name -> sub-parser."""
     parser = _Parser(prog="hurwitz-hodge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -95,20 +100,35 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--gmax", type=int, default=2, help="genus budget for fp-identity")
     ver.add_argument("--cache", help="cache file (degll also checks its records)")
     ver.set_defaults(func=_cmd_verify)
-    return parser
+    return parser, sub.choices
 
 
 # built on the first call to main and reused: parsing leaves no state on the
 # parser, and building it costs more than most commands
 _PARSER: argparse.ArgumentParser | None = None
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # A known command goes straight to its sub-parser, which reads the
+    # arguments once; through _PARSER they are scanned twice, once to
+    # classify them and once more by the sub-parser.  Anything left over,
+    # and anything that does not start with a command, goes through
+    # _PARSER, so that usage errors, help and exit codes are its own.
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    global _PARSER
+    global _PARSER, _COMMANDS
     if _PARSER is None:
-        _PARSER = build_parser()
+        _PARSER, _COMMANDS = _build_parsers()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
-from .characters import character_value, content_eigenvalue, irrep_dimension
+from .characters import _content_sum, _dimension, character_value
 from .errors import ConsistencyError, InfeasibleError
 from .partitions import aut_count, check_profile, partition_counts, partitions_of, z_order
 
@@ -89,18 +89,23 @@ def _state_bound(k: int) -> int:
     return count
 
 
-def _brute_work(k: int, r: int) -> int:
+def _brute_work(k: int, r: int, bound: int | None = None) -> int:
     """Work estimate for r brute-force steps on k sheets, in units of about
     0.1 us (measured with CPython 3.11 on one Xeon core), so that the
     default bound is about 10 s.  Each step tries C(k,2) transpositions and
     one summary pass on at most ``_state_bound(k)`` states, about 12 units
     per visit plus one unit per 2048 bits of the counts, which stay below
     C(k,2)^r.  Each step also keeps one summary of at most p(k) counts (p(k)
-    is counted, not listed), charged 1000 units plus one per byte kept."""
-    visits = _state_bound(k) * (comb(k, 2) + 1)
+    is counted, not listed), charged 1000 units plus one per byte kept.
+
+    When the visits alone exceed ``bound``, their work is returned without
+    counting p(k), which takes O(k^2) big-integer additions."""
+    steps = max(r, 1)
     bits = r * max(comb(k, 2) - 1, 0).bit_length()
-    step = visits * (12 + bits // 2048) + 1000 + partition_counts(k, k)[k] * bits // 8
-    return max(r, 1) * step
+    work = steps * _state_bound(k) * (comb(k, 2) + 1) * (12 + bits // 2048)
+    if bound is not None and work > bound:
+        return work
+    return work + steps * (1000 + partition_counts(k, k)[k] * bits // 8)
 
 
 def _merge_labels(labels: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
@@ -168,7 +173,7 @@ def brute_force_hurwitz(
     k = sum(profile)
     if k > sheet_bound:
         raise InfeasibleError(f"brute force infeasible: k={k} exceeds sheet bound {sheet_bound}")
-    work = _brute_work(k, r)
+    work = _brute_work(k, r, work_bound)
     if work > work_bound:
         try:
             shown = str(work)
@@ -188,7 +193,8 @@ def brute_force_hurwitz(
 
 @lru_cache(maxsize=None)
 def _char_data(k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    return tuple((lam, irrep_dimension(lam), content_eigenvalue(lam)) for lam in partitions_of(k))
+    # partitions_of lists valid partitions, so they are not checked again
+    return tuple((lam, _dimension(lam), _content_sum(lam)) for lam in partitions_of(k))
 
 
 @lru_cache(maxsize=None)

@@ -428,14 +428,61 @@ def test_reused_parser_carries_no_state(capsys, monkeypatch):
     fresh = []
     for argv in sequence:
         monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_COMMANDS", {})
         fresh.append(run_cli(capsys, *argv))
     assert [result[0] for result in fresh] == [0, 0, 0, 1, 0, 0, 0, 0]
     monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_COMMANDS", {})
     reused = [run_cli(capsys, *sequence[0])]
-    parser = cli._PARSER
+    parser, commands = cli._PARSER, cli._COMMANDS
     reused += [run_cli(capsys, *argv) for argv in sequence[1:]]
-    assert cli._PARSER is parser
+    assert cli._PARSER is parser and cli._COMMANDS is commands
     assert reused == fresh
+
+
+_HUR = ("hurwitz", "--genus", "0", "--profile", "2,1")
+_HDG = ("hodge", "--genus", "1", "--points", "1")
+PARSE_CASES = [
+    (_HUR, 0),
+    ((*_HUR, "--format", "record", "--engine", "brute", "--engine", "frobenius"), 0),
+    (("hurwitz", "--genus=0", "--profile", "3"), 0),
+    (("hurwitz", "--gen", "1", "--profile", "2"), 0),
+    ((*_HDG, "--format", "table"), 0),
+    (("verify", "genus0", "--gmax", "1"), 0),
+    (("verify", "--", "genus0"), 0),
+    (("-h",), 0),
+    (("--he",), 0),
+    (("hurwitz", "-h"), 0),
+    (("hodge", "--help"), 0),
+    (("verify", "-h"), 0),
+    ((), 1),
+    (("nonsense", "--genus", "0"), 1),
+    (("--genus", "0", "hurwitz"), 1),
+    ((*_HUR, "--bogus"), 1),
+    ((*_HUR, "--bogus=1", "extra"), 1),
+    ((*_HDG, "extra"), 1),
+    (("verify", "genus0", "--nope", "x"), 1),
+    ((*_HUR, "--", "--engine", "brute"), 1),
+    (("hurwitz", "--genus", "0", "--", "--profile", "2"), 1),
+    ((*_HUR, "--brute", "3"), 1),
+    ((*_HUR, "--kmax", "abc"), 1),
+    ((*_HDG, "--grid-bound", "0"), 1),
+    (("hurwitz", "--profile", "2"), 1),
+    (("verify", "nonsense"), 1),
+]
+
+
+def test_command_parser_matches_full_parser(capsys, monkeypatch):
+    # a known command is parsed on its own sub-parser; with the command map
+    # emptied every argv goes through the full parser, and each one must
+    # print and exit the same either way
+    monkeypatch.setattr(cli, "_PARSER", None)
+    direct = [run_cli(capsys, *argv) for argv, _ in PARSE_CASES]
+    assert sorted(cli._COMMANDS) == ["hodge", "hurwitz", "verify"]
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    full = [run_cli(capsys, *argv) for argv, _ in PARSE_CASES]
+    assert [result[0] for result in full] == [code for _, code in PARSE_CASES]
+    assert direct == full
 
 
 def test_auto_engine_disagreement_exit_3(capsys, monkeypatch):
@@ -507,9 +554,12 @@ def test_infeasible_default_grid_fails_fast(tmp_path, genus, points, cached):
     # p(2000) has 45 digits; the work estimate has more than Python prints
     (("hurwitz", "--engine", "brute", "--genus", "0", "--profile", "2000",
       "--brute-sheets", "10000"), "estimate of 19209 bits exceeds work bound"),
+    # refused on the state visits alone, before p(10000) is counted
+    (("hurwitz", "--engine", "brute", "--genus", "0", "--profile", "10000",
+      "--brute-sheets", "10000"), "exceeds work bound"),
     # the genus-9 table is refused before the kernels reach t^2000
     (("verify", "fp-identity", "--gmax", "1000"), "k=11 exceeds bound 10"),
-], ids=["brute-2000-sheets", "fp-identity-gmax-1000"])
+], ids=["brute-2000-sheets", "brute-10000-sheets", "fp-identity-gmax-1000"])
 def test_raised_bounds_fail_fast(argv, message):
     result = subprocess.run(
         [sys.executable, "-m", "hurwitz_hodge", *argv],

@@ -340,6 +340,16 @@ def test_brute_force_work_estimate_lists_no_partitions(monkeypatch):
         brute_force_hurwitz(0, (70,), sheet_bound=100)
 
 
+def test_brute_force_refused_on_visits_counts_no_partitions(monkeypatch):
+    # the state visits alone exceed the bound, so p(2000) is never counted
+    def no_counting(top, largest):
+        raise AssertionError(f"counted the partitions of {top}")
+
+    monkeypatch.setattr(engines, "partition_counts", no_counting)
+    with pytest.raises(InfeasibleError, match="estimate of 19209 bits exceeds work bound"):
+        brute_force_hurwitz(0, (2000,), sheet_bound=2000)
+
+
 def test_brute_force_work_estimate_accepts_small_queries():
     # every brute-force key of verify engines and of the auto checks has
     # k <= 5 and r <= 12
