@@ -37,28 +37,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
 def _bound(text: str) -> int:
     # engine bounds: zero is a real bound (--rmax 0 serves h(0; 1)), a
     # negative one is a usage error naming the flag
-    value = _int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
-    return value
-
-
-def _grid_bound(text: str) -> int:
-    # rejected while parsing, so that a full cache hit, which never reaches
-    # extract_hodge_integrals and its own check, still refuses it
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"grid_bound must be a positive integer, got {value}")
     return value
 
 
@@ -88,7 +75,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     hdg = sub.add_parser("hodge", help="extract a table of psi/lambda integrals")
     hdg.add_argument("--genus", type=int, required=True)
     hdg.add_argument("--points", type=int, required=True, help="number of marked points n")
-    hdg.add_argument("--grid-bound", type=_grid_bound, default=None)
     hdg.add_argument("--format", choices=("records", "table"), default="records")
     hdg.add_argument("--cache", help="append-only cache file")
     hdg.add_argument("--kmax", type=_bound, default=engines.DEFAULT_K_BOUND)
@@ -213,10 +199,13 @@ def _cmd_hodge(args) -> int:
     g, n = args.genus, args.points
     table = None
     # a cache with fewer records than (g, n) has keys cannot hold the table;
-    # then no key is listed, and the extraction refuses at its count floor
-    if args.cache and os.path.exists(args.cache) and (
-        hodge._key_count(g, n) <= len(cache_store.read_records(args.cache))
-    ):
+    # then no key is listed, nor counted (O((g + n) n) time) if the cache has
+    # at most g or n - 4 records: every table has a key per j <= g, and at
+    # least n - 3 at j = 0.  The extraction then refuses on its first points
+    records = 0
+    if args.cache and os.path.exists(args.cache):
+        records = len(cache_store.read_records(args.cache))
+    if max(g, n - 4) < records and hodge._key_count(g, n) <= records:
         keys = hodge.hodge_keys(g, n)
         hits = cache_store.find(args.cache, [_hodge_cache_key(g, n, b, j) for j, b in keys])
         if None not in hits:
@@ -224,9 +213,7 @@ def _cmd_hodge(args) -> int:
             for (j, b), hit in zip(keys, hits):
                 table.set(g, n, b, j, cache_store.parse_field(args.cache, hit, "value", Fraction))
     if table is None:
-        table = hodge.extract_hodge_integrals(
-            g, n, grid_bound=args.grid_bound, k_bound=args.kmax, r_bound=args.rmax
-        )
+        table = hodge.extract_hodge_integrals(g, n, k_bound=args.kmax, r_bound=args.rmax)
         if args.cache:
             keys = table.sorted_keys()
             hits = cache_store.find(args.cache, [_hodge_cache_key(*key) for key in keys])

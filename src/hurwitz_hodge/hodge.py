@@ -10,8 +10,9 @@ vanish):
     P(k) = sum_j (-1)^j sum_b <psi^b lambda_j> m_b(k),
 
 with m_b the monomial symmetric sum over distinct rearrangements of b.
-Sampling P on the sorted profiles of {1..B}^n and solving exactly recovers
-the table of integrals, in three steps:
+Sampling P on the sorted profiles of {1..B}^n, B = minimal_grid_bound(g, n),
+and solving exactly recovers the table of integrals, in three steps (any
+grid that determines the table gives the same one, P being a polynomial):
 
 * Interpolate.  A symmetric function on the grid {1..B}^n is the restriction
   of exactly one symmetric polynomial of degree below B in each variable.
@@ -53,7 +54,7 @@ from math import comb, factorial, lcm, prod
 from typing import NamedTuple
 
 from . import engines
-from .errors import ConsistencyError, InfeasibleError
+from .errors import ConsistencyError
 from .linsolve import (
     InconsistentSystemError,
     column_rank,
@@ -358,52 +359,35 @@ def minimal_grid_bound(g: int, n: int) -> int:
 def extract_hodge_integrals(
     g: int,
     n: int,
-    grid_bound: int | None = None,
-    hurwitz=None,
     *,
+    hurwitz=None,
     k_bound: int = engines.DEFAULT_K_BOUND,
     r_bound: int = engines.DEFAULT_R_BOUND,
 ) -> HodgeTable:
     """Solve for every <psi^b lambda_j> at (g, n) from covering counts.
 
-    One equation per sorted profile in {1..B}^n with B = ``grid_bound``
-    (defaults to ``minimal_grid_bound``), solved by interpolation and the
-    dense block (see the module docstring).  The system must have full
-    column rank ("grid too small" otherwise; an explicit bound is checked
-    after the corner count and before any other) and zero residual on every
-    surplus row (ConsistencyError otherwise, naming a grid profile where
-    the solved polynomial misses the count).  ``hurwitz`` is an optional
+    One equation per sorted profile in {1..B}^n with B =
+    ``minimal_grid_bound(g, n)``, solved by interpolation and the dense
+    block (see the module docstring).  Every surplus row must have zero
+    residual (ConsistencyError otherwise, naming a grid profile where the
+    solved polynomial misses the count).  ``hurwitz`` is an optional
     callable (g, profile) -> Fraction replacing the default connected
     engine.
     """
-    # counted, not listed: (1, 200) has 7.6e12 keys
-    unknowns = _key_count(g, n)
-    if grid_bound is not None and (not isinstance(grid_bound, int) or grid_bound < 1):
-        raise ValueError(f"grid_bound must be a positive integer, got {grid_bound!r}")
-    # the count floor always has enough points; an explicit bound may not
-    bound = _count_floor(unknowns, n) if grid_bound is None else grid_bound
-    if comb(bound + n - 1, n) <= unknowns:
-        raise InfeasibleError(
-            f"grid too small: {comb(bound + n - 1, n)} sorted points in"
-            f" {{1..{bound}}}^{n} cannot overdetermine {unknowns} unknowns"
-        )
+    _require_stable(g, n)
     if hurwitz is None:
         def hurwitz(gg, prof):
             return engines.connected_hurwitz(gg, prof, k_bound=k_bound, r_bound=r_bound)
-    # The corner (B, ..., B) has the largest k and r on the grid, so asking
-    # for it first lets the engine reject a bound it cannot serve before the
-    # keys or the C(B + n - 1, n) grid points are listed or the rank probe
-    # runs.
-    hurwitz(g, (bound,) * n)
-    if grid_bound is None:
-        bound = minimal_grid_bound(g, n)  # full rank by construction
+    # Two grid points are asked for first, so that the engine refuses a
+    # table it cannot serve before any work that grows with (g, n):
+    # (1, ..., 1), the smallest k and r on every grid, before the keys are
+    # counted in O((g + n) n) time, and the corner (B, ..., B) of the count
+    # floor, the largest k and r on its grid, before the keys are listed
+    # ((1, 200) has 7.6e12) or the rank probe runs.
+    hurwitz(g, (1,) * n)
+    hurwitz(g, (_count_floor(_key_count(g, n), n),) * n)
+    bound = minimal_grid_bound(g, n)
     system = _reduced_system(g, n, bound)
-    if grid_bound is not None and (rank := column_rank(system.block)) < len(system.dense):
-        raise InfeasibleError(
-            f"grid too small for (g={g}, n={n}): {{1..{bound}}}^{n} does not determine"
-            f" the keys with an exponent of {bound} or more (column rank {rank} below"
-            f" {len(system.dense)})"
-        )
     points = list(combinations_with_replacement(range(1, bound + 1), n))
     values = {point: normalized_value(g, point, hurwitz) for point in points}
     coefficients = _interpolate(values, n, bound)
@@ -426,7 +410,7 @@ def extract_hodge_integrals(
     for (j, b), value in zip(system.keys, _back_substitute(system, coefficients, dense)):
         table.set(g, n, b, j, value)
     table.grid_bound[(g, n)] = bound
-    table.surplus_rows[(g, n)] = len(points) - unknowns
+    table.surplus_rows[(g, n)] = len(points) - len(system.keys)
     return table
 
 

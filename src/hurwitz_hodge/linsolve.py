@@ -11,7 +11,8 @@ only in the solution and in the residual check.
 Built for small, possibly overdetermined systems that must hold exactly:
 full column rank is mandatory and every equation (including surplus rows)
 is re-checked, as given and in its own units, against the solution, so a
-wrong right-hand side can never pass silently.
+wrong right-hand side can never pass silently.  Entries must be ints or
+Fractions; anything else, a float say, raises TypeError.
 
 The Hodge extraction hands these routines only its dense block: after
 interpolation, the keys whose exponents all lie below the grid bound are
@@ -42,9 +43,12 @@ class InconsistentSystemError(ValueError):
         super().__init__(f"equation {row_index} has nonzero residual {residual}")
 
 
-def _rationals(values) -> list:
-    """``values`` as ints and Fractions, converting only what is neither."""
-    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+def _exact(values: list) -> list:
+    """``values`` itself; an entry that is not an int or a Fraction (a
+    float is already rounded) raises TypeError."""
+    if bad := [v for v in values if not isinstance(v, (int, Fraction))]:
+        raise TypeError(f"entries must be int or Fraction, got {type(bad[0]).__name__} {bad[0]!r}")
+    return values
 
 
 def _echelon(rows, width: int) -> tuple[list[list[int]], list[int]]:
@@ -83,7 +87,7 @@ def _echelon(rows, width: int) -> tuple[list[list[int]], list[int]]:
 
 def column_rank(matrix) -> int:
     """Rank of the column space, by exact elimination on a working copy."""
-    rows = [_rationals(row) for row in matrix]
+    rows = [_exact([*row]) for row in matrix]
     if not rows:
         return 0
     return len(_echelon(rows, len(rows[0]))[1])
@@ -107,7 +111,7 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
         raise ValueError("ragged matrix")
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length does not match the matrix")
-    original = [_rationals([*row, b]) for row, b in zip(rows, rhs)]
+    original = [_exact([*row, b]) for row, b in zip(rows, rhs)]
     # One common denominator for b, so that a large one does not inflate
     # every entry of its row; the system solved is A (unit x) = unit b.
     unit = lcm(*(row[-1].denominator for row in original))

@@ -44,16 +44,14 @@ def test_bad_arguments_exit_1(capsys):
     assert main([]) == 1
     code, _, err = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "2", "--kmax", "abc")
     assert code == 1 and "--kmax" in err
-    for bound in ("-3", "0"):
-        code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--points", "1", "--grid-bound", bound)
-        assert code == 1 and "grid_bound must be a positive integer" in err
+    # the program picks the sampling grid; there is no option to set it
+    code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--points", "1", "--grid-bound", "5")
+    assert code == 1 and "unrecognized arguments: --grid-bound 5" in err
 
 
 def test_infeasible_exit_2(capsys):
     code, _, err = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "7", "--engine", "brute")
     assert code == 2 and "sheet bound" in err
-    code, _, err = run_cli(capsys, "hodge", "--genus", "2", "--points", "1", "--grid-bound", "3")
-    assert code == 2 and "grid too small" in err
     code, _, err = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "11")
     assert code == 2
 
@@ -152,16 +150,6 @@ def test_hodge_cache_round_trip(capsys, tmp_path):
     warm = run_cli(capsys, "hodge", "--genus", "1", "--points", "1", "--cache", cache)
     assert cold == warm and cold[0] == 0
     assert len(Path(cache).read_text().splitlines()) == 3  # header + two records
-
-
-def test_bad_grid_bound_rejected_on_cache_hit(capsys, tmp_path):
-    cache = str(tmp_path / "cache.txt")
-    argv = ("hodge", "--genus", "1", "--points", "1", "--cache", cache)
-    assert run_cli(capsys, *argv)[0] == 0
-    for bound in ("-3", "0"):
-        code, out, err = run_cli(capsys, *argv, "--grid-bound", bound)
-        assert code == 1 and out == ""
-        assert f"grid_bound must be a positive integer, got {bound}" in err
 
 
 def test_hodge_cache_appends_only_missed_keys(capsys, tmp_path):
@@ -509,22 +497,10 @@ def test_console_entry_point():
         [sys.executable, "-m", "hurwitz_hodge", "hurwitz", "--genus", "0", "--profile", "4"],
         capture_output=True,
         text=True,
+        timeout=60,
     )
     assert result.returncode == 0
     assert result.stdout == "4\n"
-
-
-def test_huge_grid_bound_fails_fast():
-    # the corner profile trips the engine's bound before the grid is listed
-    result = subprocess.run(
-        [sys.executable, "-m", "hurwitz_hodge", "hodge", "--genus", "1", "--points", "3",
-         "--grid-bound", "1000000"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 2
-    assert "exceeds bound" in result.stderr
 
 
 @pytest.mark.parametrize("genus, points, cached", [
@@ -532,11 +508,13 @@ def test_huge_grid_bound_fails_fast():
     pytest.param(1, 200, False, id="1-200"),
     pytest.param(30, 8, False, id="30-8"),
     pytest.param(30, 8, True, id="30-8-cache"),
+    pytest.param(10 ** 8, 1, False, id="100000000-1"),
 ])
 def test_infeasible_default_grid_fails_fast(tmp_path, genus, points, cached):
-    # the count-floor corner trips the engine's bound before the rank probe;
-    # (1, 200) has 7.6e12 keys and (30, 8) 15,089,034, so none may be listed,
-    # also not to look them up in a cache too small to hold them
+    # the first grid point or the count-floor corner trips the engine's
+    # bound before the rank probe; (1, 200) has 7.6e12 keys and (30, 8)
+    # 15,089,034, so none may be listed, also not to look them up in a
+    # cache too small to hold them, and genus 10^8 may not even be counted
     cache = tmp_path / "cache.txt"
     result = subprocess.run(
         [sys.executable, "-m", "hurwitz_hodge", "hodge", "--genus", str(genus),
@@ -548,6 +526,29 @@ def test_infeasible_default_grid_fails_fast(tmp_path, genus, points, cached):
     assert result.returncode == 2
     assert "exceeds bound" in result.stderr
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("genus, points, message", [
+    pytest.param(10 ** 7, 1, f"r={2 * 10 ** 7} exceeds bound", id="genus"),
+    pytest.param(0, 10 ** 5, f"k={10 ** 5} exceeds bound", id="points"),
+])
+def test_huge_table_refused_before_its_keys_are_counted(capsys, tmp_path, monkeypatch,
+                                                        genus, points, message):
+    # counting the keys takes O((g + n) n) time: seconds and hundreds of MB
+    # at genus 10^7, minutes at 10^5 points.  The engine must refuse the
+    # first grid point before that, also when a cache file exists and is
+    # too small to hold the table
+    def no_counting(*args):
+        raise AssertionError("keys counted before the refusal")
+
+    cache = tmp_path / "cache.txt"
+    assert run_cli(capsys, "hodge", "--genus", "1", "--points", "1", "--cache", str(cache))[0] == 0
+    monkeypatch.setattr(hodge, "partition_counts", no_counting)
+    argv = ("hodge", "--genus", str(genus), "--points", str(points))
+    for extra in ((), ("--cache", str(cache))):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -164,26 +164,37 @@ def test_extraction_g2_n1():
     assert table.surplus_rows[(2, 1)] >= 1
 
 
-def test_explicit_grid_too_small():
-    with pytest.raises(InfeasibleError, match="grid too small"):
-        extract_hodge_integrals(2, 1, grid_bound=3)
-    for bound in (0, 2.5):
-        with pytest.raises(ValueError, match="grid_bound must be a positive integer"):
-            extract_hodge_integrals(1, 1, grid_bound=bound)
-
-
-def test_explicit_bound_rank_checked_after_the_corner_only():
-    # (2, 3) needs B = 5; at B = 4 the dense block is rank-deficient, which
-    # must be found before any count beyond the corner is asked for
+def test_provider_asked_for_first_point_then_count_floor_corner():
+    # (2, 3): the first grid point, then the corner of the count floor 4,
+    # both before the rank probe finds B = 5 and the grid is listed
     calls = []
 
     def provider(g, profile):
         calls.append(profile)
         return connected_hurwitz(g, profile, k_bound=40, r_bound=80)
 
-    with pytest.raises(InfeasibleError, match="does not determine the keys"):
-        extract_hodge_integrals(2, 3, grid_bound=4, hurwitz=provider)
-    assert calls == [(4, 4, 4)]
+    extract_hodge_integrals(2, 3, hurwitz=provider)
+    assert calls[:3] == [(1, 1, 1), (4, 4, 4), (1, 1, 1)]
+    assert len(calls) == 2 + comb(5 + 2, 3)
+
+    def refusing(g, profile):
+        if profile == (4, 4, 4):
+            calls.append(profile)
+            raise InfeasibleError("corner refused")
+        return provider(g, profile)
+
+    calls.clear()
+    with pytest.raises(InfeasibleError, match="corner refused"):
+        extract_hodge_integrals(2, 3, hurwitz=refusing)
+    assert calls == [(1, 1, 1), (4, 4, 4)]
+
+
+def test_third_positional_argument_is_refused():
+    # the grid bound is no argument; an old positional bound is neither
+    # used as one nor called as a provider
+    for third in (5, connected_hurwitz):
+        with pytest.raises(TypeError, match="positional arguments"):
+            extract_hodge_integrals(2, 1, third)
 
 
 def test_minimal_grid_bound_includes_rank():
@@ -257,6 +268,15 @@ def test_residual_names_a_grid_profile_the_solution_misses(g, n, at):
 ORACLE_PAIRS = [(g, n) for g in range(3) for n in range(1, 10) if is_stable(g, n) and 3 * g - 3 + n <= 6]
 
 
+def test_oracle_pairs_cover_unit_only_and_dense_systems():
+    # the oracle checks both solve paths: minimal systems whose keys are all
+    # unit columns (back substitution alone) and systems with dense keys
+    unit_only = {(g, n) for g, n in ORACLE_PAIRS
+                 if hodge._reduced_system(g, n, minimal_grid_bound(g, n)).dense == ()}
+    assert {(0, 3), (1, 2), (0, 5)} <= unit_only
+    assert unit_only < set(ORACLE_PAIRS)
+
+
 def _provider(g):
     if g == 0:  # the closed form keeps n up to 9 fast
         return lambda gg, profile: genus_zero_closed_form(profile)
@@ -277,16 +297,6 @@ def test_benchmark_tables_match_design_matrix_oracle(g, n):
     bound = _oracle_bound(g, n)
     assert table.grid_bound[(g, n)] == bound
     assert (table.values, table.surplus_rows[(g, n)]) == _oracle_table(g, n, bound, _provider(g))
-
-
-@pytest.mark.parametrize("g, n, bound", [(2, 1, 5), (1, 3, 4), (2, 2, 6)])
-def test_explicit_bound_with_only_unit_keys_matches_oracle(g, n, bound):
-    assert bound > minimal_grid_bound(g, n)
-    assert hodge._reduced_system(g, n, bound).dense == ()  # every key a unit column
-    provider = _provider(g)
-    table = extract_hodge_integrals(g, n, bound, hurwitz=provider)
-    assert table.grid_bound[(g, n)] == bound
-    assert (table.values, table.surplus_rows[(g, n)]) == _oracle_table(g, n, bound, provider)
 
 
 def test_forward_examples():

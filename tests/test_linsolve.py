@@ -149,3 +149,15 @@ def test_system_without_columns():
     with pytest.raises(InconsistentSystemError) as info:
         solve_exact([[], []], [0, F(1, 3)])
     assert (info.value.row_index, info.value.residual, info.value.solution) == (1, F(-1, 3), [])
+
+
+@pytest.mark.parametrize("matrix, rhs", [
+    ([[1], [2]], [0.1, 0.2]),  # 0.1 is a binary fraction, not 1/10
+    ([[1.0], [2]], [1, 2]),
+    ([["1"], [2]], [1, 2]),
+])
+def test_only_ints_and_fractions_accepted(matrix, rhs):
+    with pytest.raises(TypeError, match="entries must be int or Fraction, got (float|str)"):
+        solve_exact(matrix, rhs)
+    with pytest.raises(TypeError, match="entries must be int or Fraction, got (float|str)"):
+        column_rank([[*row, b] for row, b in zip(matrix, rhs)])
