@@ -49,10 +49,6 @@ def _bound(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its command map, command name -> sub-parser."""
     parser = _Parser(prog="hurwitz-hodge", description=__doc__.splitlines()[0])

@@ -230,6 +230,14 @@ def _disconnected(mu: tuple[int, ...], r: int) -> int:
     return count
 
 
+def _check_bounds(k: int, r: int, k_bound: int, r_bound: int) -> None:
+    """Refuse k sheets or r transpositions past the character engine's bounds."""
+    if k > k_bound:
+        raise InfeasibleError(f"character engine infeasible: k={k} exceeds bound {k_bound}")
+    if r > r_bound:
+        raise InfeasibleError(f"character engine infeasible: r={r} exceeds bound {r_bound}")
+
+
 def frobenius_disconnected(
     mu,
     r: int,
@@ -247,10 +255,7 @@ def frobenius_disconnected(
     if not isinstance(r, int) or r < 0:
         raise ValueError(f"transposition count must be a nonnegative integer, got {r!r}")
     k = sum(mu)
-    if k > k_bound:
-        raise InfeasibleError(f"character engine infeasible: k={k} exceeds bound {k_bound}")
-    if r > r_bound:
-        raise InfeasibleError(f"character engine infeasible: r={r} exceeds bound {r_bound}")
+    _check_bounds(k, r, k_bound, r_bound)
     return Fraction(_disconnected(mu, r), factorial(k))
 
 
@@ -307,10 +312,7 @@ def connected_hurwitz(
     profile = check_profile(profile)
     r = ramification_count(g, profile)
     k = sum(profile)
-    if k > k_bound:
-        raise InfeasibleError(f"character engine infeasible: k={k} exceeds bound {k_bound}")
-    if r > r_bound:
-        raise InfeasibleError(f"character engine infeasible: r={r} exceeds bound {r_bound}")
+    _check_bounds(k, r, k_bound, r_bound)
     mu = tuple(sorted(profile, reverse=True))
     return Fraction(_labeled_connected(mu, r), factorial(k) * aut_count(mu))
 

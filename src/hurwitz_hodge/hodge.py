@@ -25,9 +25,13 @@ grid that determines the table gives the same one, P being a polynomial):
   of the m_beta.  A key with every exponent below B is the unit vector at
   beta = b; only the keys with an exponent of B or more ("dense" keys)
   keep a column.
-* Solve.  The dense columns, restricted to the basis rows that hold no
-  unit key, are solved exactly; each unit key then follows by back
-  substitution from its own row.
+* Solve.  The dense columns on the basis rows that hold no unit key form
+  an integer block; its right-hand side goes over one common denominator.
+  One fraction-free (Bareiss) elimination serves the rank probe and the
+  solve: each update divides by the previous pivot, exactly by Sylvester's
+  identity, so every entry is an integer minor until back substitution
+  (Cramer's rule) divides by the determinant.  Each unit key then follows
+  by back substitution from its own row.
 
 This is an invertible row transform of the system "one equation per
 sorted profile", so rank and solution are those of that system.  The
@@ -55,11 +59,6 @@ from typing import NamedTuple
 
 from . import engines
 from .errors import ConsistencyError
-from .linsolve import (
-    InconsistentSystemError,
-    column_rank,
-    solve_exact,
-)
 from .partitions import aut_count, check_profile, partition_counts, partitions_of
 
 # (g, n, psi exponents ascending, lambda index)
@@ -76,6 +75,14 @@ def _require_stable(g: int, n: int) -> None:
         raise ValueError(f"invalid (g, n) = ({g!r}, {n!r})")
     if not is_stable(g, n):
         raise ValueError(f"unstable (g, n) = ({g}, {n}); no moduli space of curves")
+
+
+def _exact(value, name: str):
+    """``value`` if it is an int or a Fraction; anything else (a float is
+    already rounded) raises TypeError naming its type."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{name} must be an int or a Fraction, got {type(value).__name__} {value!r}")
+    return value
 
 
 def prefactor(g: int, profile) -> Fraction:
@@ -108,7 +115,7 @@ def degree_LL(g: int, profile, h) -> int:
     """
     profile = check_profile(profile)
     engines.ramification_count(g, profile)  # validates the genus
-    value = Fraction(h) * aut_count(profile) * prod(profile)
+    value = Fraction(_exact(h, "h")) * aut_count(profile) * prod(profile)
     if value.denominator != 1 or value < 0:
         raise ConsistencyError(
             f"deg LL = {value} for genus {g}, profile {profile} is not a nonnegative "
@@ -126,7 +133,7 @@ def normalized_value(g: int, profile, hurwitz=None) -> Fraction:
     profile = check_profile(profile)
     _require_stable(g, len(profile))
     h = (hurwitz or engines.connected_hurwitz)(g, profile)
-    return Fraction(h) / prefactor(g, profile)
+    return Fraction(_exact(h, "a Hurwitz number")) / prefactor(g, profile)
 
 
 def hodge_keys(g: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -194,7 +201,7 @@ class HodgeTable:
             raise ValueError(f"bad psi exponents {b} for n={n}")
         if not 0 <= j <= g or sum(b) + j != 3 * g - 3 + n:
             raise ValueError(f"key (g={g}, n={n}, b={b}, j={j}) violates the degree grading")
-        self.values[(g, n, b, j)] = Fraction(value)
+        self.values[(g, n, b, j)] = Fraction(_exact(value, "value"))
 
     def get(self, g: int, n: int, b, j: int) -> Fraction:
         return self.values[(g, n, tuple(sorted(b)), j)]
@@ -335,6 +342,75 @@ def _back_substitute(system: _Reduced, coefficients: dict, dense) -> list[Fracti
     return solution
 
 
+class _Missed(ConsistencyError):
+    """A row of the block misses ``solution``, that of the pivot rows."""
+
+    def __init__(self, solution: list[Fraction]):
+        super().__init__("a row misses the solution of the pivot rows")
+        self.solution = solution
+
+
+def _echelon(rows, width: int) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon form of ``rows`` and its pivot columns.
+
+    Pivots are sought in the first ``width`` columns, and pivot i ends up
+    in row i; columns past ``width`` (a right-hand side) are carried along.
+    Bareiss's update divides by the previous pivot, and by Sylvester's
+    identity that division is exact, so every entry is a minor of ``rows``.
+    """
+    work = [list(row) for row in rows]
+    pivots: list[int] = []
+    previous = 1
+    for col in range(width):
+        top_at = len(pivots)
+        pivot_at = next((r for r in range(top_at, len(work)) if work[r][col]), None)
+        if pivot_at is None:
+            continue
+        work[top_at], work[pivot_at] = work[pivot_at], work[top_at]
+        top = work[top_at]
+        pivot = top[col]
+        for row in work[top_at + 1:]:
+            f = row[col]
+            row[col:] = [(pivot * a - f * b) // previous for a, b in zip(row[col:], top[col:])]
+        previous = pivot
+        pivots.append(col)
+    return work, pivots
+
+
+def column_rank(block) -> int:
+    """Rank of the columns of a dense block (integer rows, at least one)."""
+    return len(_echelon(block, len(block[0]))[1])
+
+
+def solve_exact(block, rhs) -> list[Fraction]:
+    """The x with block x = rhs, for integer rows and int or Fraction rhs.
+
+    Raises ConsistencyError if the columns are dependent, and _Missed,
+    carrying the solution of the pivot rows, if any row misses it.  A block
+    without columns has the empty solution, and every rhs entry must be 0.
+    """
+    width = len(block[0])
+    # one common denominator for rhs; the system solved is A (unit x) = unit b
+    unit = lcm(*(b.denominator for b in rhs))
+    scaled = [b.numerator * (unit // b.denominator) for b in rhs]
+    work, pivots = _echelon([[*row, b] for row, b in zip(block, scaled)], width)
+    if len(pivots) < width:
+        col = next(c for c in range(width) if c not in pivots)
+        raise ConsistencyError(f"column rank below {width}: no pivot for column {col}")
+    # The last pivot is the determinant det of the pivot rows, so by Cramer's
+    # rule det * unit * x is integral: back substitution divides exactly.
+    det = work[width - 1][width - 1] if width else 1
+    numerators = [0] * width
+    for col in range(width - 1, -1, -1):
+        row = work[col]
+        s = det * row[-1] - sum(row[c] * numerators[c] for c in range(col + 1, width))
+        numerators[col] = s // row[col]
+    solution = [Fraction(v, det * unit) for v in numerators]
+    if any(sum(a * v for a, v in zip(row, numerators)) != det * b for row, b in zip(block, scaled)):
+        raise _Missed(solution)
+    return solution
+
+
 def minimal_grid_bound(g: int, n: int) -> int:
     """Smallest B whose sorted grid in {1..B}^n both has #unknowns + n
     points (surplus rows for residual checking) and determines every
@@ -376,6 +452,10 @@ def extract_hodge_integrals(
     """
     _require_stable(g, n)
     if hurwitz is None:
+        # (1, ..., 1) has k = n and r = 2g + 2n - 2; a huge n is refused
+        # before that tuple is built
+        engines._check_bounds(n, 2 * g + 2 * n - 2, k_bound, r_bound)
+
         def hurwitz(gg, prof):
             return engines.connected_hurwitz(gg, prof, k_bound=k_bound, r_bound=r_bound)
     # Two grid points are asked for first, so that the engine refuses a
@@ -393,7 +473,7 @@ def extract_hodge_integrals(
     coefficients = _interpolate(values, n, bound)
     try:
         dense = solve_exact(system.block, [coefficients[beta] for beta in system.free])
-    except InconsistentSystemError as exc:
+    except _Missed as exc:
         # Some grid profile must miss, since the reduction is invertible.
         solution = _back_substitute(system, coefficients, exc.solution)
         memo: dict = {}

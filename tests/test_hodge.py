@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -5,7 +6,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from hurwitz_hodge import hodge
+from hurwitz_hodge import engines, hodge
 from hurwitz_hodge.engines import connected_hurwitz, genus_zero_closed_form
 from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
 from hurwitz_hodge.hodge import (
@@ -21,7 +22,6 @@ from hurwitz_hodge.hodge import (
     prefactor,
     weight_w,
 )
-from hurwitz_hodge.linsolve import column_rank, solve_exact
 from hurwitz_hodge.partitions import partitions_of
 
 F = Fraction
@@ -29,7 +29,44 @@ F = Fraction
 
 # Oracle: the extraction as it was before interpolation, one equation per
 # sorted grid profile, eliminated whole.  Slow but independent of the
-# interpolation basis, the residue tables and the dense-block bookkeeping.
+# interpolation basis, the residue tables and the dense-block bookkeeping,
+# and eliminated by its own Gauss-Jordan over Fractions, which shares no
+# code with the program's integer elimination (hodge.column_rank and
+# hodge.solve_exact).
+def _gauss_jordan(rows, width):
+    """Reduced row echelon form of ``rows`` and its pivot columns, sought
+    in the first ``width`` columns; later columns are carried along."""
+    work = [[F(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        top = len(pivots)
+        at = next((r for r in range(top, len(work)) if work[r][col]), None)
+        if at is None:
+            continue
+        work[top], work[at] = work[at], work[top]
+        pivot = work[top][col]
+        head = work[top] = [v / pivot for v in work[top]]
+        for r, row in enumerate(work):
+            if r != top and (f := row[col]):
+                work[r] = [a - f * b for a, b in zip(row, head)]
+        pivots.append(col)
+    return work, pivots
+
+
+def column_rank(matrix) -> int:
+    return len(_gauss_jordan(matrix, len(matrix[0]))[1])
+
+
+def solve_exact(matrix, rhs) -> list[Fraction]:
+    """The unique solution; fails unless the columns are independent and
+    every row holds."""
+    width = len(matrix[0])
+    work, pivots = _gauss_jordan([[*row, b] for row, b in zip(matrix, rhs)], width)
+    assert pivots == list(range(width)), "dependent columns"
+    assert not any(row[-1] for row in work[width:]), "inconsistent rows"
+    return [row[-1] for row in work[:width]]
+
+
 def _design_matrix(keys, points) -> list[list[int]]:
     memo: dict = {}
     return [[(-1) ** j * _monomial_sum(b, point, memo) for j, b in keys] for point in points]
@@ -442,3 +479,159 @@ def test_interpolation_tables(bound):
     for e, row in enumerate(hodge._residues(bound, 3 * bound)):
         assert len(row) == bound
         assert [sum(c * v ** t for t, c in enumerate(row)) for v in nodes] == [v ** e for v in nodes]
+
+
+# The dense-block elimination, on integer blocks with int or Fraction rhs,
+# as _reduced_system builds them.
+
+def test_solve_exact_known_square_system():
+    assert hodge.solve_exact([[2, 1], [1, 3]], [F(5), F(10)]) == [F(1), F(3)]
+
+
+def test_solve_exact_overdetermined_consistent():
+    assert hodge.solve_exact([[1, 1], [1, -1], [2, 0], [0, 3]], [3, 1, 4, 3]) == [F(2), F(1)]
+
+
+def test_solve_exact_overdetermined_inconsistent():
+    with pytest.raises(ConsistencyError) as info:
+        hodge.solve_exact([[1, 0], [0, 1], [1, 1]], [1, 1, 3])
+    assert info.value.solution == [F(1), F(1)]
+
+
+def test_solve_exact_inconsistent_system_carries_the_pivot_solution():
+    with pytest.raises(ConsistencyError) as info:
+        hodge.solve_exact([[1, 0], [0, 2], [1, 1]], [1, 1, 3])
+    assert info.value.solution == [F(1), F(1, 2)]
+
+
+def test_solve_exact_rank_shortfall():
+    with pytest.raises(ConsistencyError, match="column rank below 2: no pivot for column 1"):
+        hodge.solve_exact([[1, 2], [2, 4], [3, 6]], [1, 2, 3])
+    with pytest.raises(ConsistencyError, match="column rank below 3"):
+        hodge.solve_exact([[1, 2, 3]], [1])  # more columns than rows
+
+
+def test_solve_exact_pivoting_handles_leading_zeros():
+    assert hodge.solve_exact([[0, 1], [1, 0]], [F(7), F(5)]) == [F(5), F(7)]
+
+
+def test_solve_exact_solution_entries_are_fractions():
+    # compare types, not values: 0.5 == F(1, 2), so a float would pass ==
+    for block, rhs in [
+        ([[2, 1], [1, 3]], [5, 10]),
+        ([[2]], [1]),
+        ([[4, 0], [0, 3], [4, 3]], [2, 1, 3]),
+        ([[2, 0], [0, 3]], [F(1, 5), 1]),
+    ]:
+        solution = hodge.solve_exact(block, rhs)
+        assert all(type(v) is Fraction for v in solution), solution
+
+
+def test_block_column_rank():
+    assert hodge.column_rank([[1, 2], [2, 4]]) == 1
+    assert hodge.column_rank([[1, 0], [0, 1]]) == 2
+    assert hodge.column_rank([[0, 0], [0, 0]]) == 0
+    # a pivot column is skipped
+    assert hodge.column_rank([[1, 2, 3], [2, 4, 7], [3, 6, 10]]) == 2
+    assert hodge.column_rank([[0, 0, 1], [0, 0, 2]]) == 1
+
+
+def test_block_without_columns():
+    # the extraction's dense block is empty once every key is a unit column
+    assert hodge.solve_exact([(), ()], [0, F(0)]) == []
+    assert hodge.column_rank([(), ()]) == 0
+    with pytest.raises(ConsistencyError) as info:
+        hodge.solve_exact([(), ()], [0, F(1, 3)])
+    assert info.value.solution == []
+
+
+def _block_of_rank(rng, rank, cols, n_rows):
+    # unit lower (rank columns, extra rows free) times upper with a nonzero
+    # diagonal (rank rows): a product of exact rank `rank`
+    lower = [[rng.randrange(-3, 4) if j < i else int(i == j) for j in range(rank)] for i in range(n_rows)]
+    upper = [[rng.randrange(1, 5) if i == j else rng.randrange(-3, 4) if j > i else 0
+              for j in range(cols)] for i in range(rank)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(rank)) for j in range(cols)] for i in range(n_rows)]
+
+
+def test_solve_exact_randomized_round_trip():
+    rng = random.Random(20240815)
+    for _ in range(25):
+        n = rng.randrange(1, 6)
+        block = _block_of_rank(rng, n, n, n)
+        solution = [F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(n)]
+        rows = block + [block[rng.randrange(n)] for _ in range(rng.randrange(0, 3))]
+        rhs = [sum(a * v for a, v in zip(row, solution)) for row in rows]
+        assert hodge.solve_exact(rows, rhs) == solution
+
+
+def test_column_rank_randomized_known_rank():
+    rng = random.Random(20261017)
+    for _ in range(40):
+        cols = rng.randrange(1, 6)
+        rank = rng.randrange(0, cols + 1)
+        n_rows = rank + rng.randrange(0, 4)
+        if n_rows == 0:
+            continue
+        block = _block_of_rank(rng, rank, cols, n_rows)
+        assert hodge.column_rank(block) == rank
+        shuffled = block[:]
+        rng.shuffle(shuffled)
+        assert hodge.column_rank(shuffled) == rank
+        scales = [rng.choice([-1, 1]) * rng.randrange(1, 9) for _ in block]
+        assert hodge.column_rank([[s * v for v in row] for s, row in zip(scales, shuffled)]) == rank
+        if rank < cols:
+            x = [F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(cols)]
+            with pytest.raises(ConsistencyError, match="column rank below"):
+                hodge.solve_exact(block, [sum(a * v for a, v in zip(row, x)) for row in block])
+
+
+def test_block_elimination_agrees_with_oracle_elimination():
+    # rank, solution, and on a missed row the pivot rows' solution: the
+    # program's integer elimination and the oracle's Gauss-Jordan pick the
+    # same pivot rows (the first nonzero entry at or below each pivot)
+    rng = random.Random(20261019)
+    for _ in range(200):
+        cols = rng.randrange(0, 6)
+        rank = rng.randrange(0, cols + 1)
+        n_rows = max(1, rank + rng.randrange(0, 4))
+        block = _block_of_rank(rng, rank, cols, n_rows)
+        rng.shuffle(block)
+        x = [F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(cols)]
+        rhs = [sum((a * v for a, v in zip(row, x)), F(0)) for row in block]
+        if rng.random() < 0.5:
+            rhs[rng.randrange(n_rows)] += F(rng.randrange(1, 9), rng.randrange(1, 9))
+        work, pivots = _gauss_jordan([[*row, b] for row, b in zip(block, rhs)], cols)
+        assert hodge.column_rank(block) == len(pivots)
+        if len(pivots) < cols:
+            with pytest.raises(ConsistencyError, match="column rank below"):
+                hodge.solve_exact(block, rhs)
+            continue
+        expected = [row[-1] for row in work[:cols]]
+        if any(row[-1] for row in work[cols:]):
+            with pytest.raises(ConsistencyError) as info:
+                hodge.solve_exact(block, rhs)
+            assert info.value.solution == expected
+        else:
+            assert hodge.solve_exact(block, rhs) == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda: extract_hodge_integrals(1, 1, hurwitz=lambda g, p: float(connected_hurwitz(g, p))),
+    lambda: degree_LL(0, (2,), 0.5),
+    lambda: HodgeTable().set(1, 1, (1,), 0, 0.1),  # 0.1 is a binary fraction, not 1/10
+], ids=["provider", "degree_LL", "table_set"])
+def test_only_ints_and_fractions_accepted(call):
+    with pytest.raises(TypeError, match="must be an int or a Fraction, got float"):
+        call()
+
+
+def test_huge_point_count_refused_before_its_first_profile_is_built(monkeypatch):
+    # (1, ..., 1) with 10^7 poles would cost O(n) time and memory to build
+    # and validate; the bound check on k = n needs neither
+    def refuse(profile):
+        raise AssertionError("a profile was built")
+
+    monkeypatch.setattr(engines, "check_profile", refuse)
+    with pytest.raises(InfeasibleError, match="k=10000000 exceeds bound 10"):
+        extract_hodge_integrals(0, 10 ** 7)
