@@ -11,6 +11,12 @@ mu, and memoized by (descending class suffix, particle count); a character
 value is a lookup of the shape's mask in its class's expansion, and a
 dimension is Frobenius' formula on the shape's beta-set.  The memoized
 expansions are never mutated once built, and all arithmetic is integer.
+
+Conjugation (transposing the shape, lam -> lam') keeps the dimension,
+negates the content sum and multiplies the character by the sign of the
+class: chi^lam'(mu) = (-1)^(k - len(mu)) chi^lam(mu).  The class rows of
+the Frobenius engine are built from the shapes of content sum >= 0 and
+mirrored through this identity.
 """
 
 from __future__ import annotations

@@ -22,9 +22,12 @@ nonnegative integer for every input.  Three independent engines:
   poles sharing a component with pole 1.  Each class's character row is
   computed once and kept as pairs (content sum, sum of dim * chi) merged
   by content, so the tuple count for r transpositions is a power sum over
-  the row divided exactly by z(mu).  Poles of equal order give equal
-  terms, so the sum runs over sub-multisets of the other poles, weighted
-  by the number prod C(m_v, c_v) of labeled subsets each one stands for.
+  the row divided exactly by z(mu).  Only the shapes of content sum >= 0
+  are computed: conjugating a shape negates its content sum and
+  multiplies its character by sgn(mu), which gives the other half.
+  Poles of equal order give equal terms, so the sum runs over
+  sub-multisets of the other poles, weighted by the number
+  prod C(m_v, c_v) of labeled subsets each one stands for.
   Both layers count tuples in integers (the connected layer holds
   k! * #Aut(mu) * h); the only division is into ``Fraction`` at the
   public functions;
@@ -193,23 +196,35 @@ def brute_force_hurwitz(
 
 @lru_cache(maxsize=None)
 def _char_data(k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """(shape, dimension, content sum) for the shapes of k with content sum
+    c >= 0; conjugation supplies the rest (see ``_class_row``)."""
     # partitions_of lists valid partitions, so they are not checked again
-    return tuple((lam, _dimension(lam), _content_sum(lam)) for lam in partitions_of(k))
+    contents = ((lam, _content_sum(lam)) for lam in partitions_of(k))
+    return tuple((lam, _dimension(lam), c) for lam, c in contents if c >= 0)
 
 
 @lru_cache(maxsize=None)
 def _class_row(mu: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Pairs (content sum c, sum of dim lam * chi^lam(mu) over the shapes lam
     with content sum c), zero sums dropped: the class's character row with
-    shapes of equal eigenvalue merged."""
+    shapes of equal eigenvalue merged.
+
+    Only the shapes with c >= 0 are computed.  Conjugation lam -> lam' keeps
+    the dimension, negates the content sum and multiplies the character by
+    sgn(mu) = (-1)^(k - len(mu)), so the weight at -c is sgn(mu) times the
+    weight at c.  Conjugation maps the shapes with c = 0 onto themselves,
+    so their weight is 0 when sgn(mu) = -1."""
+    k = sum(mu)
     weights: dict[int, int] = {}
-    for lam, dim, content in _char_data(sum(mu)):
-        # through the module attribute, one call per shape, so that a
+    for lam, dim, content in _char_data(k):
+        # through the module attribute, one call per kept shape, so that a
         # wrapper on engines.character_value sees every character computed
         chi = character_value(lam, mu)
         if chi:
             weights[content] = weights.get(content, 0) + dim * chi
-    return tuple((content, weight) for content, weight in weights.items() if weight)
+    sign = -1 if (k - len(mu)) % 2 else 1
+    mirrored = [(-content, sign * weight) for content, weight in weights.items() if content > 0]
+    return tuple((content, weight) for content, weight in [*weights.items(), *mirrored] if weight)
 
 
 @lru_cache(maxsize=None)

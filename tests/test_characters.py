@@ -65,12 +65,17 @@ def _border_strip(lam, mu):
     return total
 
 
+def _conjugate(shape):
+    """The transposed shape: column j has as many cells as rows longer than j."""
+    return tuple(sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0))
+
+
 def _hook_length(shape):
     """Independent oracle: the hook-length formula, k! over the product of
     every cell's hook, with the hooks read off the conjugate shape."""
     if not shape:
         return 1
-    conj = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    conj = _conjugate(shape)
     hooks = 1
     for i, row in enumerate(shape):
         for j in range(row):
@@ -175,6 +180,20 @@ def test_content_is_class_sum_eigenvalue(k):
         dim = irrep_dimension(lam)
         assert size * chi % dim == 0
         assert content_eigenvalue(lam) == size * chi // dim
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_conjugate_shape_identities(k):
+    # the class rows in engines are built from the shapes of content >= 0
+    # and mirrored through these three identities
+    shapes = partitions_of(k)
+    for lam in shapes:
+        conj = _conjugate(lam)
+        assert irrep_dimension(conj) == irrep_dimension(lam)
+        assert content_eigenvalue(conj) == -content_eigenvalue(lam)
+        for mu in shapes:
+            sign = (-1) ** (k - len(mu))
+            assert character_value(conj, mu) == sign * character_value(lam, mu)
 
 
 @pytest.mark.parametrize("k", range(11))

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from hurwitz_hodge import characters, engines
+from hurwitz_hodge.characters import character_value, content_eigenvalue, irrep_dimension
 from hurwitz_hodge.cutjoin import cut_and_join_hurwitz
 from hurwitz_hodge.engines import (
     brute_force_hurwitz,
@@ -296,6 +297,26 @@ def test_characters_go_through_engines_character_value(monkeypatch):
     _clear_character_engine()
     assert connected_hurwitz(1, (3, 2, 1)) == expected
     assert calls and len(set(calls)) == len(calls)
+    # each class asks for exactly the shapes of content sum >= 0, each once;
+    # conjugation gives the rest of its row
+    asked = {}
+    for lam, mu in calls:
+        asked.setdefault(mu, []).append(lam)
+    for mu, shapes in asked.items():
+        kept = [lam for lam in partitions_of(sum(mu)) if content_eigenvalue(lam) >= 0]
+        assert sorted(shapes) == sorted(kept)
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_class_row_matches_full_character_sum(k):
+    # the row built from half the shapes equals the sum over all of them
+    shapes = partitions_of(k)
+    for mu in shapes:
+        full = {}
+        for lam in shapes:
+            content = content_eigenvalue(lam)
+            full[content] = full.get(content, 0) + irrep_dimension(lam) * character_value(lam, mu)
+        assert dict(engines._class_row(mu)) == {c: w for c, w in full.items() if w}
 
 
 def test_engine_agreement_sample():
