@@ -9,22 +9,31 @@ vanish):
 
     P(k) = sum_j (-1)^j sum_b <psi^b lambda_j> m_b(k),
 
-with m_b the monomial symmetric sum over distinct rearrangements of b.
-Sampling P on the sorted profiles of {1..B}^n, B = minimal_grid_bound(g, n),
-and solving exactly recovers the table of integrals, in three steps (any
-grid that determines the table gives the same one, P being a polynomial):
+with m_b the monomial symmetric sum over distinct rearrangements of b, so
+P is symmetric of total degree 3g - 3 + n.  Polynomials of total degree at
+most L are determined by their values on the principal lattice
+{x : x_i >= 1, sum(x_i - 1) <= L} (Chung and Yao, SIAM J. Numer. Anal.
+1977), and symmetric ones by their values on its ascending points, the
+level-L sample.  Sampling P there, at the level L = minimal_grid_bound(g,
+n), and solving exactly recovers the table of integrals, in three steps
+(any sample that determines the table gives the same one, P being a
+polynomial):
 
-* Interpolate.  A symmetric function on the grid {1..B}^n is the restriction
-  of exactly one symmetric polynomial of degree below B in each variable.
-  Its coefficients c_beta in the basis m_beta, beta sorted in {0..B-1}^n,
-  come from the inverse Vandermonde matrix of the nodes 1..B applied along
-  each axis, in integers scaled by (B-1)! per axis and by the values'
-  common denominator.
-* Reduce.  On the grid, x^e agrees with its remainder modulo
-  q(x) = prod_{v=1..B} (x - v), so each key m_b agrees with a combination
-  of the m_beta.  A key with every exponent below B is the unit vector at
-  beta = b; only the keys with an exponent of B or more ("dense" keys)
-  keep a column.
+* Interpolate.  Forward differences Delta^alpha f(1, ..., 1), taken one
+  axis at a time, give the Newton form of the interpolant,
+  sum_alpha Delta^alpha f / alpha! prod_i (x_i - 1)...(x_i - alpha_i),
+  and a second pass spreads each falling factorial over the powers of its
+  variable.  The result is the coefficients c_beta in the basis m_beta,
+  beta ascending of total at most L.  Both passes store one entry per
+  pair of ascending index tuples and stay in integers, scaled by the
+  values' common denominator and by L!/a! per axis.
+* Reduce.  x^e = sum_t S(e+1, t+1) (x - 1)...(x - t), with S the Stirling
+  numbers of the second kind, and on the sample every product of these
+  falling factorials of total order above L vanishes.  So each key m_b
+  agrees on the sample with a combination of the m_beta: a key with
+  sum(b) <= L is the unit vector at beta = b, and only the keys of higher
+  total degree ("dense" keys) keep a column, found by the same two steps:
+  the key's Newton coefficients, then the pass to powers.
 * Solve.  The dense columns on the basis rows that hold no unit key form
   an integer block; its right-hand side goes over one common denominator.
   One fraction-free (Bareiss) elimination serves the rank probe and the
@@ -34,9 +43,9 @@ grid that determines the table gives the same one, P being a polynomial):
   by back substitution from its own row.
 
 This is an invertible row transform of the system "one equation per
-sorted profile", so rank and solution are those of that system.  The
-C(B + n - 1, n) - #keys surplus rows are all residual-checked exactly, and
-any nonzero residual names a grid profile at which the solved polynomial
+sample point", so rank and solution are those of that system.  The
+#points - #keys surplus rows are all residual-checked exactly, and any
+nonzero residual names a sample profile at which the solved polynomial
 and the counts disagree: an engine or sign error fails loudly instead of
 giving a wrong table.
 
@@ -53,8 +62,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate
 from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from . import engines
@@ -184,8 +194,9 @@ def _monomial_sum(b, ks, memo=None, power=pow) -> int:
 class HodgeTable:
     """Exact values of <psi^b lambda_j>, keyed by (g, n, b ascending, j).
 
-    ``grid_bound`` and ``surplus_rows`` record, per (g, n), the grid used by
-    the extraction and how many surplus equations were residual-checked.
+    ``grid_bound`` and ``surplus_rows`` record, per (g, n), the level of the
+    sample used by the extraction and how many surplus equations were
+    residual-checked.
     Tables are saved and reloaded through the cache (``hodge --cache``).
     """
 
@@ -221,12 +232,28 @@ class HodgeTable:
         ]
 
 
-def _count_floor(unknowns: int, n: int) -> int:
-    """Smallest B whose sorted grid in {1..B}^n has unknowns + n points."""
-    bound = 1
-    while comb(bound + n - 1, n) < unknowns + n:
-        bound += 1
-    return bound
+def _level_floor(g: int, n: int) -> int:
+    """Smallest level whose sample has #keys + n points.  The level-L point
+    count is the sum, over t <= L, of the partitions of t into at most n
+    parts; each level adds at least one point, so level 3g - 3 + 2n
+    always suffices."""
+    need = _key_count(g, n) + n
+    points = accumulate(partition_counts(3 * g - 3 + 2 * n, n))
+    return next(level for level, count in enumerate(points) if count >= need)
+
+
+@lru_cache(maxsize=256)
+def _simplex(m: int, level: int) -> tuple[tuple[int, ...], ...]:
+    """The ascending m-tuples of nonnegative integers with sum at most
+    ``level``, in lexicographic order.  The level-L sample of n poles is
+    _simplex(n, L) shifted by one in every coordinate."""
+    tuples = [((), 0, level)]
+    for slots in range(m, 0, -1):
+        # each of the remaining slots takes at least y
+        tuples = [(t + (y,), y, room - y)
+                  for t, low, room in tuples
+                  for y in range(low, room // slots + 1)]
+    return tuple(t for t, _, _ in tuples)
 
 
 def _poly_with_roots(roots) -> list[int]:
@@ -238,64 +265,92 @@ def _poly_with_roots(roots) -> list[int]:
     return poly
 
 
-def _scaled_inverse(bound: int) -> list[list[int]]:
-    """(B-1)! times the inverse of the Vandermonde matrix (v^t) with nodes
-    v = 1..B: row t, entry v - 1 is the x^t coefficient of (B-1)! L_v(x),
-    where L_v(x) = prod_{u != v} (x - u) / ((v-1)! (-1)^(B-v) (B-v)!) is
-    the Lagrange basis polynomial of node v.  Integral, since (v-1)! (B-v)!
-    divides (B-1)!."""
-    nodes = range(1, bound + 1)
-    columns = [
-        [(-1) ** (bound - v) * comb(bound - 1, v - 1) * c
-         for c in _poly_with_roots(u for u in nodes if u != v)]
-        for v in nodes
-    ]
-    return [list(row) for row in zip(*columns)]
-
-
-def _residues(bound: int, top: int) -> list[list[int]]:
-    """Row e, for e = 0..top, holds the ascending coefficients of
-    x^e mod prod_{v=1..B} (x - v): a polynomial of degree below B that
-    agrees with x^e at x = 1..B."""
-    q = _poly_with_roots(range(1, bound + 1))
-    rows = [[int(t == e) for t in range(bound)] for e in range(min(top + 1, bound))]
-    for _ in range(bound, top + 1):
+@lru_cache(maxsize=16)
+def _stirling_rows(top: int) -> tuple[tuple[int, ...], ...]:
+    """Row e, for e = 0..top, holds the Stirling numbers of the second kind
+    S(e+1, t+1) for t = 0..e, so that x^e = sum_t S(e+1, t+1) (x-1)...(x-t)."""
+    rows = [(1,)]
+    for e in range(1, top + 1):
         last = rows[-1]
-        rows.append([(last[t - 1] if t else 0) - last[-1] * q[t] for t in range(bound)])
-    return rows
+        rows.append(tuple((t + 1) * (last[t] if t < e else 0) + (last[t - 1] if t else 0)
+                          for t in range(e + 1)))
+    return tuple(rows)
 
 
-def _interpolate(values: dict, n: int, bound: int) -> dict:
-    """Coefficients c_beta, for beta sorted in {0..B-1}^n, of the symmetric
-    polynomial of degree below B in each variable that takes ``values``
-    (sorted point of {1..B}^n -> Fraction) on the grid.
+@lru_cache(maxsize=16)
+def _differences(level: int) -> tuple:
+    """Forward differences Delta^a f(0) = sum_s (-1)^(a-s) C(a, s) f(s),
+    for a = 0..L, as _axis_pass weights."""
+    return tuple((0, tuple((-1) ** (a - s) * comb(a, s) for s in range(a + 1)))
+                 for a in range(level + 1))
 
-    The inverse Vandermonde matrix is applied one axis at a time.  After m
-    axes the partial transform is symmetric in its m transformed indices
-    and in its n - m untransformed ones, so it is stored once per pair of
-    sorted tuples, never as the full B^n tensor.  Everything stays in
-    integers until the final division by the common denominator.
+
+@lru_cache(maxsize=16)
+def _falling_to_powers(level: int, scaled: bool) -> tuple:
+    """The falling factorials (x-1)...(x-a), for a = 0..L and times L!/a!
+    if ``scaled``, spread over the powers x^b, as _axis_pass weights: x^b
+    collects from every a >= b."""
+    falling = [_poly_with_roots(range(1, a + 1)) for a in range(level + 1)]
+    return tuple(
+        (b, tuple((factorial(level) // factorial(a) if scaled else 1) * falling[a][b]
+                  for a in range(b, level + 1)))
+        for b in range(level + 1)
+    )
+
+
+def _axis_pass(stage: dict, n: int, level: int, weights) -> dict:
+    """Apply one triangular per-axis map along each of the n axes in turn.
+    weights[a] = (start, w) makes new index a the sum of w[i] times old
+    index start + i.
+
+    ``stage`` maps each ascending point y of _simplex(n, level) to a tuple
+    of integers (one per column), and the result maps each ascending new
+    index tuple to one.  The map of new index a reads old indices at most
+    level minus the rest of the point, all of which the simplex holds.
+    After m axes the partial result is symmetric in its m new indices and
+    in its n - m old ones, so it is stored once per pair of ascending
+    tuples (head, tail), never as the full tensor.
     """
-    inverse = _scaled_inverse(bound)
-    scale = lcm(*(v.denominator for v in values.values()))
-    stage = {((), point): v.numerator * (scale // v.denominator) for point, v in values.items()}
+    stage = {((), y): value for y, value in stage.items()}
     for m in range(1, n + 1):
         nxt = {}
-        for tail in combinations_with_replacement(range(1, bound + 1), n - m):
-            merged = [tuple(sorted(tail + (v,))) for v in range(1, bound + 1)]
-            for alpha in combinations_with_replacement(range(bound), m):
-                head = alpha[:-1]
-                nxt[alpha, tail] = sum(w * stage[head, point]
-                                       for w, point in zip(inverse[alpha[-1]], merged))
+        for tail in _simplex(n - m, level):
+            room = level - sum(tail)
+            merged = [tuple(sorted(tail + (y,))) for y in range(room + 1)]
+            for head in _simplex(m, room):
+                rest, a = head[:-1], head[-1]
+                start, w = weights[a]
+                stop = min(start + len(w), room - (sum(head) - a) + 1)
+                sources = [stage[rest, point] for point in merged[start:stop]]
+                nxt[head, tail] = tuple(sum(map(mul, w, column)) for column in zip(*sources))
         stage = nxt
-    denominator = scale * factorial(bound - 1) ** n
-    return {alpha: Fraction(value, denominator) for (alpha, _), value in stage.items()}
+    return {head: value for (head, _), value in stage.items()}
+
+
+def _interpolate(values: dict, n: int, level: int) -> dict:
+    """Coefficients c_beta, for beta ascending of total at most L, of the
+    symmetric polynomial of total degree at most L that takes ``values``
+    (sample point -> Fraction) on the level-L sample.
+
+    Forward differences Delta^alpha f(1, ..., 1), one axis at a time, give
+    the Newton form sum_alpha Delta^alpha f / alpha! prod_i (x_i-1)...(x_i-alpha_i);
+    a second pass spreads each falling factorial over the monomials.  Both
+    stay in integers, scaled by the values' common denominator and by
+    L!/a! per axis, until the final division.
+    """
+    scale = lcm(*(v.denominator for v in values.values()))
+    stage = {tuple(x - 1 for x in point): (v.numerator * (scale // v.denominator),)
+             for point, v in values.items()}
+    stage = _axis_pass(stage, n, level, _differences(level))
+    stage = _axis_pass(stage, n, level, _falling_to_powers(level, True))
+    denominator = scale * factorial(level) ** n
+    return {beta: Fraction(value, denominator) for beta, (value,) in stage.items()}
 
 
 class _Reduced(NamedTuple):
-    """The keys of (g, n) reduced to the interpolation basis at bound B.
+    """The keys of (g, n) reduced to the interpolation basis at level L.
 
-    ``dense`` lists the indices of the keys with an exponent of B or more,
+    ``dense`` lists the indices of the keys of total degree above L,
     ``free`` the basis rows beta that hold no unit key, and ``block`` the
     dense columns on those rows.  ``unit`` pairs each other key's index
     with the dense columns on its own row beta = b.  Columns carry the sign
@@ -308,23 +363,24 @@ class _Reduced(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _reduced_system(g: int, n: int, bound: int) -> _Reduced:
-    """The reduced system of (g, n) at bound B.  It needs no covering
+def _reduced_system(g: int, n: int, level: int) -> _Reduced:
+    """The reduced system of (g, n) at level L.  It needs no covering
     counts; the last rank probe and the solve share one build."""
     keys = tuple(hodge_keys(g, n))
-    residues = _residues(bound, 3 * g - 3 + n)
+    stirling = _stirling_rows(3 * g - 3 + n)
 
-    def residue(t, e):
-        return residues[e][t]
+    def power(t, e):  # the (x-1)...(x-t) coefficient of x^e
+        return stirling[e][t] if t <= e else 0
 
-    dense = tuple(i for i, (_, b) in enumerate(keys) if b[-1] >= bound)
+    dense = tuple(i for i, (_, b) in enumerate(keys) if sum(b) > level)
     memo: dict = {}
-    rows = {
-        beta: tuple((-1) ** keys[i][0] * _monomial_sum(keys[i][1], beta, memo, residue)
-                    for i in dense)
-        for beta in combinations_with_replacement(range(bound), n)
+    newton = {
+        alpha: tuple((-1) ** keys[i][0] * _monomial_sum(keys[i][1], alpha, memo, power)
+                     for i in dense)
+        for alpha in _simplex(n, level)
     }
-    unit = tuple((i, rows[b]) for i, (_, b) in enumerate(keys) if b[-1] < bound)
+    rows = _axis_pass(newton, n, level, _falling_to_powers(level, False))
+    unit = tuple((i, rows[b]) for i, (_, b) in enumerate(keys) if sum(b) <= level)
     held = {keys[i][1] for i, _ in unit}
     free = tuple(beta for beta in rows if beta not in held)
     return _Reduced(keys, dense, free, tuple(rows[beta] for beta in free), unit)
@@ -412,24 +468,23 @@ def solve_exact(block, rhs) -> list[Fraction]:
 
 
 def minimal_grid_bound(g: int, n: int) -> int:
-    """Smallest B whose sorted grid in {1..B}^n both has #unknowns + n
-    points (surplus rows for residual checking) and determines every
-    unknown.
+    """Smallest level L whose sample (the ascending points x with x_i >= 1
+    and sum(x_i - 1) <= L) both has #unknowns + n points (surplus rows for
+    residual checking) and determines every unknown.
 
-    The point count alone can be insufficient: the keys are monomial
-    symmetric sums of per-variable degree up to 3g - 3 + n, and too few
-    distinct coordinate values makes high powers collide (B = 3g - 2 + n
-    always suffices, and the loop stops well before that in practice).
-    The grid determines the unknowns exactly when the dense block of the
-    reduced system has full column rank; the probe needs no covering
-    counts, so this is cheap.
+    The point count alone can be insufficient: a key of total degree above
+    L agrees on the sample with a combination of the lower monomials, and
+    those combinations can collide.  The sample determines the unknowns
+    exactly when the dense block of the reduced system has full column
+    rank; at L = 3g - 3 + n no key is dense, so the loop ends there at the
+    latest.  The probe needs no covering counts, so this is cheap.
     """
-    bound = _count_floor(_key_count(g, n), n)
+    level = _level_floor(g, n)
     while True:
-        system = _reduced_system(g, n, bound)
+        system = _reduced_system(g, n, level)
         if column_rank(system.block) == len(system.dense):
-            return bound
-        bound += 1
+            return level
+        level += 1
 
 
 def extract_hodge_integrals(
@@ -442,11 +497,11 @@ def extract_hodge_integrals(
 ) -> HodgeTable:
     """Solve for every <psi^b lambda_j> at (g, n) from covering counts.
 
-    One equation per sorted profile in {1..B}^n with B =
+    One equation per point of the level-L sample with L =
     ``minimal_grid_bound(g, n)``, solved by interpolation and the dense
     block (see the module docstring).  Every surplus row must have zero
-    residual (ConsistencyError otherwise, naming a grid profile where the
-    solved polynomial misses the count).  ``hurwitz`` is an optional
+    residual (ConsistencyError otherwise, naming a sample profile where
+    the solved polynomial misses the count).  ``hurwitz`` is an optional
     callable (g, profile) -> Fraction replacing the default connected
     engine.
     """
@@ -458,23 +513,23 @@ def extract_hodge_integrals(
 
         def hurwitz(gg, prof):
             return engines.connected_hurwitz(gg, prof, k_bound=k_bound, r_bound=r_bound)
-    # Two grid points are asked for first, so that the engine refuses a
+    # Two sample points are asked for first, so that the engine refuses a
     # table it cannot serve before any work that grows with (g, n):
-    # (1, ..., 1), the smallest k and r on every grid, before the keys are
-    # counted in O((g + n) n) time, and the corner (B, ..., B) of the count
-    # floor, the largest k and r on its grid, before the keys are listed
-    # ((1, 200) has 7.6e12) or the rank probe runs.
+    # (1, ..., 1), the smallest k and r on every sample, before the keys
+    # are counted in O((g + n) n) time, and (L0 + 1, 1, ..., 1) at the
+    # level floor L0, the largest k and r on its sample, before the keys
+    # are listed ((1, 200) has 7.6e12) or the rank probe runs.
     hurwitz(g, (1,) * n)
-    hurwitz(g, (_count_floor(_key_count(g, n), n),) * n)
-    bound = minimal_grid_bound(g, n)
-    system = _reduced_system(g, n, bound)
-    points = list(combinations_with_replacement(range(1, bound + 1), n))
+    hurwitz(g, (_level_floor(g, n) + 1,) + (1,) * (n - 1))
+    level = minimal_grid_bound(g, n)
+    system = _reduced_system(g, n, level)
+    points = [tuple(y + 1 for y in alpha) for alpha in _simplex(n, level)]
     values = {point: normalized_value(g, point, hurwitz) for point in points}
-    coefficients = _interpolate(values, n, bound)
+    coefficients = _interpolate(values, n, level)
     try:
         dense = solve_exact(system.block, [coefficients[beta] for beta in system.free])
     except _Missed as exc:
-        # Some grid profile must miss, since the reduction is invertible.
+        # Some sample profile must miss, since the reduction is invertible.
         solution = _back_substitute(system, coefficients, exc.solution)
         memo: dict = {}
         profile, residual = next(
@@ -489,7 +544,7 @@ def extract_hodge_integrals(
     table = HodgeTable()
     for (j, b), value in zip(system.keys, _back_substitute(system, coefficients, dense)):
         table.set(g, n, b, j, value)
-    table.grid_bound[(g, n)] = bound
+    table.grid_bound[(g, n)] = level
     table.surplus_rows[(g, n)] = len(points) - len(system.keys)
     return table
 

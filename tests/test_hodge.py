@@ -28,11 +28,11 @@ F = Fraction
 
 
 # Oracle: the extraction as it was before interpolation, one equation per
-# sorted grid profile, eliminated whole.  Slow but independent of the
-# interpolation basis, the residue tables and the dense-block bookkeeping,
-# and eliminated by its own Gauss-Jordan over Fractions, which shares no
-# code with the program's integer elimination (hodge.column_rank and
-# hodge.solve_exact).
+# sorted profile of the box {1..B}^n, eliminated whole.  Slow but
+# independent of the sample, the interpolation basis, the Newton and
+# Stirling tables and the dense-block bookkeeping, and eliminated by its
+# own Gauss-Jordan over Fractions, which shares no code with the program's
+# integer elimination (hodge.column_rank and hodge.solve_exact).
 def _gauss_jordan(rows, width):
     """Reduced row echelon form of ``rows`` and its pivot columns, sought
     in the first ``width`` columns; later columns are carried along."""
@@ -82,12 +82,35 @@ def _oracle_bound(g, n):
     return bound
 
 
-def _oracle_table(g, n, bound, hurwitz):
+def _oracle_table(g, n, hurwitz):
     keys = hodge_keys(g, n)
-    points = list(combinations_with_replacement(range(1, bound + 1), n))
+    points = list(combinations_with_replacement(range(1, _oracle_bound(g, n) + 1), n))
     rhs = [normalized_value(g, point, hurwitz) for point in points]
     solution = solve_exact(_design_matrix(keys, points), rhs)
-    return {(g, n, b, j): value for (j, b), value in zip(keys, solution)}, len(points) - len(keys)
+    return {(g, n, b, j): value for (j, b), value in zip(keys, solution)}
+
+
+def _sample(n, level):
+    """The level-L sample: ascending points x with x_i >= 1 and
+    sum(x_i - 1) <= L, in lexicographic order."""
+    return [p for p in combinations_with_replacement(range(1, level + 2), n) if sum(p) - n <= level]
+
+
+def _monomial_basis(n, level):
+    """Ascending exponent tuples beta of total at most L."""
+    return [tuple(x - 1 for x in p) for p in _sample(n, level)]
+
+
+def _oracle_level(g, n):
+    """Smallest level with #keys + n sample points whose design matrix has
+    full column rank."""
+    keys = hodge_keys(g, n)
+    level = 0
+    while len(_sample(n, level)) < len(keys) + n:
+        level += 1
+    while column_rank(_design_matrix(keys, _sample(n, level))) < len(keys):
+        level += 1
+    return level
 
 
 def test_hodge_keys_match_filtered_partitions():
@@ -180,11 +203,12 @@ def test_hodge_key_counts():
 
 
 def test_extraction_g1_n1():
+    # level 2: the sample is k = 1, 2, 3
     table = extract_hodge_integrals(1, 1)
     assert table.get(1, 1, (1,), 0) == F(1, 24)
     assert table.get(1, 1, (0,), 1) == F(1, 24)
-    assert table.surplus_rows[(1, 1)] >= 1
-    assert table.grid_bound[(1, 1)] == 3
+    assert table.surplus_rows[(1, 1)] == 1
+    assert table.grid_bound[(1, 1)] == 2
 
 
 def test_extraction_g0_n3():
@@ -202,8 +226,9 @@ def test_extraction_g2_n1():
 
 
 def test_provider_asked_for_first_point_then_count_floor_corner():
-    # (2, 3): the first grid point, then the corner of the count floor 4,
-    # both before the rank probe finds B = 5 and the grid is listed
+    # (2, 3): the first sample point, then (L0 + 1, 1, 1), the largest k
+    # on the sample of the level floor L0 = 6, both before the rank probe
+    # runs and the sample is listed
     calls = []
 
     def provider(g, profile):
@@ -211,11 +236,11 @@ def test_provider_asked_for_first_point_then_count_floor_corner():
         return connected_hurwitz(g, profile, k_bound=40, r_bound=80)
 
     extract_hodge_integrals(2, 3, hurwitz=provider)
-    assert calls[:3] == [(1, 1, 1), (4, 4, 4), (1, 1, 1)]
-    assert len(calls) == 2 + comb(5 + 2, 3)
+    assert calls[:3] == [(1, 1, 1), (7, 1, 1), (1, 1, 1)]
+    assert calls[2:] == _sample(3, 6) and len(calls) == 2 + 23
 
     def refusing(g, profile):
-        if profile == (4, 4, 4):
+        if profile == (7, 1, 1):
             calls.append(profile)
             raise InfeasibleError("corner refused")
         return provider(g, profile)
@@ -223,7 +248,7 @@ def test_provider_asked_for_first_point_then_count_floor_corner():
     calls.clear()
     with pytest.raises(InfeasibleError, match="corner refused"):
         extract_hodge_integrals(2, 3, hurwitz=refusing)
-    assert calls == [(1, 1, 1), (4, 4, 4)]
+    assert calls == [(1, 1, 1), (7, 1, 1)]
 
 
 def test_third_positional_argument_is_refused():
@@ -235,9 +260,11 @@ def test_third_positional_argument_is_refused():
 
 
 def test_minimal_grid_bound_includes_rank():
-    # point count alone would give 4 at (2, 3); rank needs 5
-    assert minimal_grid_bound(2, 3) == 5
-    assert minimal_grid_bound(1, 1) == 3
+    # point count alone would give level 7 at (1, 8) and 10 at (3, 5);
+    # rank needs 8 and 11
+    assert hodge._level_floor(1, 8) == 7 and minimal_grid_bound(1, 8) == 8
+    assert hodge._level_floor(3, 5) == 10 and minimal_grid_bound(3, 5) == 11
+    assert minimal_grid_bound(1, 1) == 2
     assert minimal_grid_bound(0, 3) == 2
 
 
@@ -263,17 +290,17 @@ def _perturbed(at):
 
 
 def test_residual_names_first_misfit_without_dense_block():
-    # (1, 2) at B = 3 has no dense key: the solved polynomial keeps the
+    # (1, 2) at level 3 has no dense key: the solved polynomial keeps the
     # interpolant's coefficients on the keys and drops the rest, which the
-    # square interpolation system on the grid recomputes independently
+    # square interpolation system on the sample recomputes independently
     g, n, at = 1, 2, (2, 3)
-    bound = minimal_grid_bound(g, n)
-    assert hodge._reduced_system(g, n, bound).dense == ()
+    level = minimal_grid_bound(g, n)
+    assert hodge._reduced_system(g, n, level).dense == ()
     with pytest.raises(ConsistencyError, match="nonzero residual extracting") as info:
         extract_hodge_integrals(g, n, hurwitz=_perturbed(at))
     profile, residual = _misfit(str(info.value))
-    points = list(combinations_with_replacement(range(1, bound + 1), n))
-    basis = list(combinations_with_replacement(range(bound), n))
+    points = _sample(n, level)
+    basis = _monomial_basis(n, level)
     values = [normalized_value(g, p, _perturbed(at)) for p in points]
     coefficients = solve_exact([[_monomial_sum(beta, p) for beta in basis] for p in points], values)
     kept = {b for _, b in hodge_keys(g, n)}
@@ -285,15 +312,17 @@ def test_residual_names_first_misfit_without_dense_block():
     assert (profile, residual) == (points[first], solved(points[first]) - values[first])
 
 
-@pytest.mark.parametrize("g, n, at", [(2, 1, (3,)), (2, 3, (2, 4, 5)), (1, 4, (1, 1, 2, 3))])
+@pytest.mark.parametrize("g, n, at", [(2, 1, (3,)), (2, 3, (2, 3, 4)), (1, 4, (1, 1, 2, 3)),
+                                      (3, 2, (2, 7))])
 def test_residual_names_a_grid_profile_the_solution_misses(g, n, at):
-    # with dense keys the solution depends on the pivot rows; check what
-    # the message claims: some polynomial of the keys' shape fits the counts
-    # at every grid profile before the named one and misses it by R != 0
+    # with dense keys ((2, 1) and (3, 2)) the solution depends on the pivot
+    # rows; check what the message claims: some polynomial of the keys'
+    # shape fits the counts at every sample profile before the named one
+    # and misses it by R != 0
     with pytest.raises(ConsistencyError, match="nonzero residual extracting") as info:
         extract_hodge_integrals(g, n, hurwitz=_perturbed(at))
     profile, residual = _misfit(str(info.value))
-    points = list(combinations_with_replacement(range(1, minimal_grid_bound(g, n) + 1), n))
+    points = _sample(n, minimal_grid_bound(g, n))
     assert profile in points and residual != 0
     prefix = points[:points.index(profile) + 1]
     values = [normalized_value(g, p, _perturbed(at)) for p in prefix]
@@ -323,17 +352,19 @@ def _provider(g):
 @pytest.mark.parametrize("g, n", ORACLE_PAIRS)
 def test_extraction_matches_design_matrix_oracle(g, n):
     table = extract_hodge_integrals(g, n, hurwitz=_provider(g))
-    bound = _oracle_bound(g, n)
-    assert table.grid_bound[(g, n)] == minimal_grid_bound(g, n) == bound
-    assert (table.values, table.surplus_rows[(g, n)]) == _oracle_table(g, n, bound, _provider(g))
+    level = _oracle_level(g, n)
+    assert table.grid_bound[(g, n)] == minimal_grid_bound(g, n) == level
+    assert table.surplus_rows[(g, n)] == len(_sample(n, level)) - len(hodge_keys(g, n))
+    assert table.values == _oracle_table(g, n, _provider(g))
 
 
 @pytest.mark.parametrize("g, n", [(3, 3), (2, 4), (4, 2)])
 def test_benchmark_tables_match_design_matrix_oracle(g, n):
     table = extract_hodge_integrals(g, n, k_bound=40, r_bound=60)
-    bound = _oracle_bound(g, n)
-    assert table.grid_bound[(g, n)] == bound
-    assert (table.values, table.surplus_rows[(g, n)]) == _oracle_table(g, n, bound, _provider(g))
+    level = _oracle_level(g, n)
+    assert table.grid_bound[(g, n)] == level
+    assert table.surplus_rows[(g, n)] == len(_sample(n, level)) - len(hodge_keys(g, n))
+    assert table.values == _oracle_table(g, n, _provider(g))
 
 
 def test_forward_examples():
@@ -359,9 +390,10 @@ def test_forward_missing_keys_listed():
 
 
 def test_round_trip_out_of_grid():
+    # the level-L sample of one pole is k = 1..L+1
     t11 = extract_hodge_integrals(1, 1)
-    bound = t11.grid_bound[(1, 1)]
-    for k in range(bound + 1, bound + 4):
+    level = t11.grid_bound[(1, 1)]
+    for k in range(level + 2, level + 5):
         assert hurwitz_from_hodge(1, (k,), t11) == connected_hurwitz(1, (k,))
 
 
@@ -452,33 +484,70 @@ def test_extraction_goes_through_hodge_call_sites(monkeypatch):
 
 
 def test_probe_ranks_every_bound_and_builds_each_system_once(monkeypatch):
-    # (2, 3): the count floor 4 is rank deficient, 5 is not; each bound's
-    # reduced system is built once, and the final one serves the solve too
+    # (1, 8): the level floor 7 is rank deficient, 8 is not; each level's
+    # reduced system is built once, and the final one serves the solve too.
+    # The provider evaluates a table of arbitrary values, which the
+    # extraction must give back.
+    g, n = 1, 8
+    rng = random.Random(18)
+    expected = HodgeTable()
+    for j, b in hodge_keys(g, n):
+        expected.set(g, n, b, j, F(rng.randrange(-9, 10), rng.randrange(1, 9)))
     ranks = []
     original = hodge.column_rank
     monkeypatch.setattr(hodge, "column_rank", lambda m: ranks.append(len(m)) or original(m))
     hodge._reduced_system.cache_clear()
-    table = extract_hodge_integrals(2, 3, hurwitz=_provider(2))
-    assert table.grid_bound[(2, 3)] == 5 and len(ranks) == 2
+    table = extract_hodge_integrals(g, n, hurwitz=lambda gg, p: hurwitz_from_hodge(gg, p, expected))
+    assert table.values == expected.values
+    assert table.grid_bound[(g, n)] == 8 and len(ranks) == 2
     assert hodge._reduced_system.cache_info().misses == 2
-    # the count floor of (1, 2) already has only unit keys; it is still probed
+    # the level floor of (1, 2) already has only unit keys; it is still probed
     ranks.clear()
     extract_hodge_integrals(1, 2)
     assert len(ranks) == 1 and hodge._reduced_system(1, 2, 3).dense == ()
 
 
-@pytest.mark.parametrize("bound", [1, 2, 5, 9])
-def test_interpolation_tables(bound):
-    nodes = range(1, bound + 1)
-    # (B-1)! V^-1 times V is (B-1)! I, for V = (v^t) with v = 1..B
-    inverse = hodge._scaled_inverse(bound)
-    assert [[sum(inverse[t][v - 1] * v ** s for v in nodes) for s in range(bound)]
-            for t in range(bound)] == [[factorial(bound - 1) * (t == s) for s in range(bound)]
-                                       for t in range(bound)]
-    # each residue polynomial has degree below B and agrees with x^e on 1..B
-    for e, row in enumerate(hodge._residues(bound, 3 * bound)):
-        assert len(row) == bound
-        assert [sum(c * v ** t for t, c in enumerate(row)) for v in nodes] == [v ** e for v in nodes]
+@pytest.mark.parametrize("level", [1, 2, 5, 9])
+def test_interpolation_tables(level):
+    # a random symmetric polynomial of total degree at most L, sampled on
+    # the level-L sample, interpolates back to its own coefficients
+    rng = random.Random(level)
+    for n in range(1, 5 if level < 9 else 4):
+        coefficients = {beta: F(rng.randrange(-20, 21), rng.randrange(1, 13))
+                        for beta in _monomial_basis(n, level)}
+        values = {p: sum(c * _monomial_sum(beta, p) for beta, c in coefficients.items())
+                  for p in _sample(n, level)}
+        assert hodge._interpolate(values, n, level) == coefficients, (level, n)
+
+
+@pytest.mark.parametrize("g, n", [(2, 1), (3, 2), (3, 3), (4, 2)])
+def test_dense_columns_interpolate_their_keys(g, n):
+    # on the sample, a dense key m_b equals the interpolant of its own
+    # values; its column holds that interpolant on every basis row, the
+    # free rows of the block and the rows of the unit keys
+    level = minimal_grid_bound(g, n)
+    system = hodge._reduced_system(g, n, level)
+    assert system.dense
+    rows = dict(zip(system.free, system.block))
+    rows.update((system.keys[i][1], row) for i, row in system.unit)
+    assert sorted(rows) == sorted(_monomial_basis(n, level))
+    for c, i in enumerate(system.dense):
+        j, b = system.keys[i]
+        assert sum(b) > level
+        interpolant = hodge._interpolate({p: F(_monomial_sum(b, p)) for p in _sample(n, level)}, n, level)
+        assert {beta: row[c] for beta, row in rows.items()} == {
+            beta: (-1) ** j * value for beta, value in interpolant.items()}, (g, n, b, j)
+
+
+def test_stirling_identity():
+    # x^e = sum_t S(e+1, t+1) (x-1)(x-2)...(x-t), checked at more points
+    # than the degree, so as polynomials
+    rows = hodge._stirling_rows(12)
+    assert len(rows) == 13 and rows[3] == (1, 7, 6, 1)
+    for e, row in enumerate(rows):
+        assert len(row) == e + 1
+        for x in range(-4, 16):
+            assert sum(s * prod(x - v for v in range(1, t + 1)) for t, s in enumerate(row)) == x ** e
 
 
 # The dense-block elimination, on integer blocks with int or Fraction rhs,
