@@ -35,19 +35,22 @@ polynomial):
   total degree ("dense" keys) keep a column, found by the same two steps:
   the key's Newton coefficients, then the pass to powers.
 * Solve.  The dense columns on the basis rows that hold no unit key form
-  an integer block; its right-hand side goes over one common denominator.
-  One fraction-free (Bareiss) elimination serves the rank probe and the
+  an integer block, and its right-hand side is the interpolant's integer
+  numerators on those rows, over the counts' common denominator D.  One
+  fraction-free (Bareiss) elimination serves the rank probe and the
   solve: each update divides by the previous pivot, exactly by Sylvester's
-  identity, so every entry is an integer minor until back substitution
-  (Cramer's rule) divides by the determinant.  Each unit key then follows
-  by back substitution from its own row.
+  identity, so every entry is an integer minor, and by Cramer's rule the
+  pivot rows' solution is integral over their determinant det.  Each unit
+  key then follows by back substitution from its own row, still in
+  integers over det * D; each integral is one Fraction at the end.
 
 This is an invertible row transform of the system "one equation per
 sample point", so rank and solution are those of that system.  The
-#points - #keys surplus rows are all residual-checked exactly, and any
-nonzero residual names a sample profile at which the solved polynomial
-and the counts disagree: an engine or sign error fails loudly instead of
-giving a wrong table.
+extraction checks every row of the block against the pivot rows'
+solution in integers, so the #points - #keys surplus rows are all
+residual-checked exactly, and any nonzero residual names a sample profile
+at which the solved polynomial and the counts disagree: an engine or sign
+error fails loudly instead of giving a wrong table.
 
 The alternating sign (-1)^j is forced by h_{1;1} = 0: with all-plus signs
 the one-pole genus-1 prediction would be 1/6.  ``hurwitz_from_hodge`` keeps
@@ -327,24 +330,24 @@ def _axis_pass(stage: dict, n: int, level: int, weights) -> dict:
     return {head: value for (head, _), value in stage.items()}
 
 
-def _interpolate(values: dict, n: int, level: int) -> dict:
+def _interpolate(values: dict, n: int, level: int) -> tuple[dict, int]:
     """Coefficients c_beta, for beta ascending of total at most L, of the
     symmetric polynomial of total degree at most L that takes ``values``
-    (sample point -> Fraction) on the level-L sample.
+    (sample point -> Fraction) on the level-L sample, as integer numerators
+    over one denominator D: the pair ({beta: c_beta * D}, D).
 
     Forward differences Delta^alpha f(1, ..., 1), one axis at a time, give
     the Newton form sum_alpha Delta^alpha f / alpha! prod_i (x_i-1)...(x_i-alpha_i);
     a second pass spreads each falling factorial over the monomials.  Both
     stay in integers, scaled by the values' common denominator and by
-    L!/a! per axis, until the final division.
+    L!/a! per axis, so D is that denominator times L!^n.
     """
     scale = lcm(*(v.denominator for v in values.values()))
     stage = {tuple(x - 1 for x in point): (v.numerator * (scale // v.denominator),)
              for point, v in values.items()}
     stage = _axis_pass(stage, n, level, _differences(level))
     stage = _axis_pass(stage, n, level, _falling_to_powers(level, True))
-    denominator = scale * factorial(level) ** n
-    return {beta: Fraction(value, denominator) for beta, (value,) in stage.items()}
+    return {beta: value for beta, (value,) in stage.items()}, scale * factorial(level) ** n
 
 
 class _Reduced(NamedTuple):
@@ -386,24 +389,17 @@ def _reduced_system(g: int, n: int, level: int) -> _Reduced:
     return _Reduced(keys, dense, free, tuple(rows[beta] for beta in free), unit)
 
 
-def _back_substitute(system: _Reduced, coefficients: dict, dense) -> list[Fraction]:
-    """Every key's value, given the dense keys' values: a unit key (j, b)
-    is (-1)^j times what its row c_b leaves after the dense columns."""
-    solution = [Fraction(0)] * len(system.keys)
+def _back_substitute(system: _Reduced, numerators: dict, dense, det: int) -> list[int]:
+    """Every key's value times det * D, given the interpolant's numerators
+    over D and the dense keys' values times det * D: a unit key (j, b) is
+    (-1)^j times what its row c_b leaves after the dense columns."""
+    solution = [0] * len(system.keys)
     for i, value in zip(system.dense, dense):
         solution[i] = value
     for i, row in system.unit:
         j, b = system.keys[i]
-        solution[i] = (-1) ** j * (coefficients[b] - sum(a * v for a, v in zip(row, dense)))
+        solution[i] = (-1) ** j * (det * numerators[b] - sum(map(mul, row, dense)))
     return solution
-
-
-class _Missed(ConsistencyError):
-    """A row of the block misses ``solution``, that of the pivot rows."""
-
-    def __init__(self, solution: list[Fraction]):
-        super().__init__("a row misses the solution of the pivot rows")
-        self.solution = solution
 
 
 def _echelon(rows, width: int) -> tuple[list[list[int]], list[int]]:
@@ -438,35 +434,32 @@ def column_rank(block) -> int:
     return len(_echelon(block, len(block[0]))[1])
 
 
-def solve_exact(block, rhs) -> list[Fraction]:
-    """The x with block x = rhs, for integer rows and int or Fraction rhs.
+def solve_exact(block, rhs) -> tuple[list[int], int]:
+    """The pivot rows' solution of block x = rhs, for integer rows and rhs,
+    as (numerators, det) with x = numerators / det and det the pivot rows'
+    determinant.
 
-    Raises ConsistencyError if the columns are dependent, and _Missed,
-    carrying the solution of the pivot rows, if any row misses it.  A block
-    without columns has the empty solution, and every rhs entry must be 0.
+    Raises ConsistencyError if the columns are dependent.  The other rows
+    are not checked against x; that is the caller's surplus check.  A block
+    without columns has the empty solution and det 1.
     """
     width = len(block[0])
-    # one common denominator for rhs; the system solved is A (unit x) = unit b
-    unit = lcm(*(b.denominator for b in rhs))
-    scaled = [b.numerator * (unit // b.denominator) for b in rhs]
-    work, pivots = _echelon([[*row, b] for row, b in zip(block, scaled)], width)
+    work, pivots = _echelon([[*row, b] for row, b in zip(block, rhs)], width)
     if len(pivots) < width:
         col = next(c for c in range(width) if c not in pivots)
         raise ConsistencyError(f"column rank below {width}: no pivot for column {col}")
     # The last pivot is the determinant det of the pivot rows, so by Cramer's
-    # rule det * unit * x is integral: back substitution divides exactly.
+    # rule det * x is integral: back substitution divides exactly.
     det = work[width - 1][width - 1] if width else 1
     numerators = [0] * width
     for col in range(width - 1, -1, -1):
         row = work[col]
         s = det * row[-1] - sum(row[c] * numerators[c] for c in range(col + 1, width))
         numerators[col] = s // row[col]
-    solution = [Fraction(v, det * unit) for v in numerators]
-    if any(sum(a * v for a, v in zip(row, numerators)) != det * b for row, b in zip(block, scaled)):
-        raise _Missed(solution)
-    return solution
+    return numerators, det
 
 
+@lru_cache(maxsize=16, typed=True)
 def minimal_grid_bound(g: int, n: int) -> int:
     """Smallest level L whose sample (the ascending points x with x_i >= 1
     and sum(x_i - 1) <= L) both has #unknowns + n points (surplus rows for
@@ -477,7 +470,8 @@ def minimal_grid_bound(g: int, n: int) -> int:
     those combinations can collide.  The sample determines the unknowns
     exactly when the dense block of the reduced system has full column
     rank; at L = 3g - 3 + n no key is dense, so the loop ends there at the
-    latest.  The probe needs no covering counts, so this is cheap.
+    latest.  The probe needs no covering counts, so this is cheap; the
+    levels of the last 16 (g, n) are kept, as are the systems they rank.
     """
     level = _level_floor(g, n)
     while True:
@@ -525,25 +519,27 @@ def extract_hodge_integrals(
     system = _reduced_system(g, n, level)
     points = [tuple(y + 1 for y in alpha) for alpha in _simplex(n, level)]
     values = {point: normalized_value(g, point, hurwitz) for point in points}
-    coefficients = _interpolate(values, n, level)
-    try:
-        dense = solve_exact(system.block, [coefficients[beta] for beta in system.free])
-    except _Missed as exc:
+    numerators, scale = _interpolate(values, n, level)
+    rhs = [numerators[beta] for beta in system.free]
+    dense, det = solve_exact(system.block, rhs)
+    solution = _back_substitute(system, numerators, dense, det)
+    denominator = det * scale
+    if any(sum(map(mul, row, dense)) != det * b for row, b in zip(system.block, rhs)):
         # Some sample profile must miss, since the reduction is invertible.
-        solution = _back_substitute(system, coefficients, exc.solution)
         memo: dict = {}
         profile, residual = next(
             (point, r) for point in points
-            if (r := sum((-1) ** j * x * _monomial_sum(b, point, memo)
-                         for (j, b), x in zip(system.keys, solution)) - values[point])
+            if (r := Fraction(sum((-1) ** j * x * _monomial_sum(b, point, memo)
+                                  for (j, b), x in zip(system.keys, solution)), denominator)
+                - values[point])
         )
         raise ConsistencyError(
             f"nonzero residual extracting (g={g}, n={n}) integrals at profile"
             f" {profile}: {residual}"
-        ) from exc
+        )
     table = HodgeTable()
-    for (j, b), value in zip(system.keys, _back_substitute(system, coefficients, dense)):
-        table.set(g, n, b, j, value)
+    for (j, b), value in zip(system.keys, solution):
+        table.set(g, n, b, j, Fraction(value, denominator))
     table.grid_bound[(g, n)] = level
     table.surplus_rows[(g, n)] = len(points) - len(system.keys)
     return table

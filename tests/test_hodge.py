@@ -2,7 +2,8 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
+from operator import mul
 
 import pytest
 
@@ -32,7 +33,8 @@ F = Fraction
 # independent of the sample, the interpolation basis, the Newton and
 # Stirling tables and the dense-block bookkeeping, and eliminated by its
 # own Gauss-Jordan over Fractions, which shares no code with the program's
-# integer elimination (hodge.column_rank and hodge.solve_exact).
+# integer elimination (hodge.column_rank and hodge.solve_exact) or with the
+# extraction's integer check of the surplus rows.
 def _gauss_jordan(rows, width):
     """Reduced row echelon form of ``rows`` and its pivot columns, sought
     in the first ``width`` columns; later columns are carried along."""
@@ -476,6 +478,7 @@ def test_extraction_goes_through_hodge_call_sites(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
+    hodge.minimal_grid_bound.cache_clear()
     for name in calls:
         monkeypatch.setattr(hodge, name, counting(name, getattr(hodge, name)))
     table = extract_hodge_integrals(1, 2)
@@ -497,6 +500,7 @@ def test_probe_ranks_every_bound_and_builds_each_system_once(monkeypatch):
     original = hodge.column_rank
     monkeypatch.setattr(hodge, "column_rank", lambda m: ranks.append(len(m)) or original(m))
     hodge._reduced_system.cache_clear()
+    hodge.minimal_grid_bound.cache_clear()
     table = extract_hodge_integrals(g, n, hurwitz=lambda gg, p: hurwitz_from_hodge(gg, p, expected))
     assert table.values == expected.values
     assert table.grid_bound[(g, n)] == 8 and len(ranks) == 2
@@ -505,6 +509,37 @@ def test_probe_ranks_every_bound_and_builds_each_system_once(monkeypatch):
     ranks.clear()
     extract_hodge_integrals(1, 2)
     assert len(ranks) == 1 and hodge._reduced_system(1, 2, 3).dense == ()
+
+
+def test_warm_extraction_ranks_no_block(monkeypatch):
+    # the level of each (g, n) is kept with the reduced systems it ranked,
+    # so a second extraction of the same table ranks no block.  The
+    # provider evaluates a table of ones, within no engine's bounds.
+    ones = HodgeTable()
+    for j, b in hodge_keys(1, 8):
+        ones.set(1, 8, b, j, 1)
+
+    def provider(g, profile):
+        return hurwitz_from_hodge(g, profile, ones)
+
+    extract_hodge_integrals(1, 8, hurwitz=provider)
+    ranks = []
+    original = hodge.column_rank
+    monkeypatch.setattr(hodge, "column_rank", lambda m: ranks.append(len(m)) or original(m))
+    assert extract_hodge_integrals(1, 8, hurwitz=provider).values == ones.values
+    assert ranks == []
+    # a kept level does not answer for an argument that fails validation
+    with pytest.raises(ValueError, match=r"invalid \(g, n\)"):
+        minimal_grid_bound(1.0, 8)
+
+
+def _interpolated(values, n, level):
+    """hodge._interpolate's integer numerators over D as Fractions, after
+    checking that D is the values' common denominator times L!^n."""
+    numerators, denominator = hodge._interpolate(values, n, level)
+    assert denominator == lcm(*(F(v).denominator for v in values.values())) * factorial(level) ** n
+    assert all(type(v) is int for v in numerators.values())
+    return {beta: F(v, denominator) for beta, v in numerators.items()}
 
 
 @pytest.mark.parametrize("level", [1, 2, 5, 9])
@@ -517,7 +552,7 @@ def test_interpolation_tables(level):
                         for beta in _monomial_basis(n, level)}
         values = {p: sum(c * _monomial_sum(beta, p) for beta, c in coefficients.items())
                   for p in _sample(n, level)}
-        assert hodge._interpolate(values, n, level) == coefficients, (level, n)
+        assert _interpolated(values, n, level) == coefficients, (level, n)
 
 
 @pytest.mark.parametrize("g, n", [(2, 1), (3, 2), (3, 3), (4, 2)])
@@ -534,7 +569,7 @@ def test_dense_columns_interpolate_their_keys(g, n):
     for c, i in enumerate(system.dense):
         j, b = system.keys[i]
         assert sum(b) > level
-        interpolant = hodge._interpolate({p: F(_monomial_sum(b, p)) for p in _sample(n, level)}, n, level)
+        interpolant = _interpolated({p: F(_monomial_sum(b, p)) for p in _sample(n, level)}, n, level)
         assert {beta: row[c] for beta, row in rows.items()} == {
             beta: (-1) ** j * value for beta, value in interpolant.items()}, (g, n, b, j)
 
@@ -550,27 +585,31 @@ def test_stirling_identity():
             assert sum(s * prod(x - v for v in range(1, t + 1)) for t, s in enumerate(row)) == x ** e
 
 
-# The dense-block elimination, on integer blocks with int or Fraction rhs,
-# as _reduced_system builds them.
+# The dense-block elimination, on integer blocks and integer rhs, as the
+# extraction passes them.  solve_exact returns the pivot rows' solution as
+# (numerators, det); it does not check the other rows, the extraction does.
+
+def _solved(block, rhs) -> list[Fraction]:
+    numerators, det = hodge.solve_exact(block, rhs)
+    return [F(v, det) for v in numerators]
+
 
 def test_solve_exact_known_square_system():
-    assert hodge.solve_exact([[2, 1], [1, 3]], [F(5), F(10)]) == [F(1), F(3)]
+    assert hodge.solve_exact([[2, 1], [1, 3]], [5, 10]) == ([5, 15], 5)
+    assert _solved([[2, 1], [1, 3]], [5, 10]) == [F(1), F(3)]
 
 
 def test_solve_exact_overdetermined_consistent():
-    assert hodge.solve_exact([[1, 1], [1, -1], [2, 0], [0, 3]], [3, 1, 4, 3]) == [F(2), F(1)]
+    assert _solved([[1, 1], [1, -1], [2, 0], [0, 3]], [3, 1, 4, 3]) == [F(2), F(1)]
 
 
 def test_solve_exact_overdetermined_inconsistent():
-    with pytest.raises(ConsistencyError) as info:
-        hodge.solve_exact([[1, 0], [0, 1], [1, 1]], [1, 1, 3])
-    assert info.value.solution == [F(1), F(1)]
+    # the third row misses; the pivot rows' solution is returned
+    assert _solved([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) == [F(1), F(1)]
 
 
 def test_solve_exact_inconsistent_system_carries_the_pivot_solution():
-    with pytest.raises(ConsistencyError) as info:
-        hodge.solve_exact([[1, 0], [0, 2], [1, 1]], [1, 1, 3])
-    assert info.value.solution == [F(1), F(1, 2)]
+    assert _solved([[1, 0], [0, 2], [1, 1]], [1, 1, 3]) == [F(1), F(1, 2)]
 
 
 def test_solve_exact_rank_shortfall():
@@ -581,19 +620,19 @@ def test_solve_exact_rank_shortfall():
 
 
 def test_solve_exact_pivoting_handles_leading_zeros():
-    assert hodge.solve_exact([[0, 1], [1, 0]], [F(7), F(5)]) == [F(5), F(7)]
+    assert _solved([[0, 1], [1, 0]], [7, 5]) == [F(5), F(7)]
 
 
 def test_solve_exact_solution_entries_are_fractions():
-    # compare types, not values: 0.5 == F(1, 2), so a float would pass ==
+    # each entry is an exact fraction: integer numerators over one integer
+    # det.  Compare types, not values: 1.0 == 1, so a float would pass ==
     for block, rhs in [
         ([[2, 1], [1, 3]], [5, 10]),
         ([[2]], [1]),
         ([[4, 0], [0, 3], [4, 3]], [2, 1, 3]),
-        ([[2, 0], [0, 3]], [F(1, 5), 1]),
     ]:
-        solution = hodge.solve_exact(block, rhs)
-        assert all(type(v) is Fraction for v in solution), solution
+        numerators, det = hodge.solve_exact(block, rhs)
+        assert all(type(v) is int for v in [*numerators, det]), (numerators, det)
 
 
 def test_block_column_rank():
@@ -607,11 +646,10 @@ def test_block_column_rank():
 
 def test_block_without_columns():
     # the extraction's dense block is empty once every key is a unit column
-    assert hodge.solve_exact([(), ()], [0, F(0)]) == []
+    assert hodge.solve_exact([(), ()], [0, 0]) == ([], 1)
     assert hodge.column_rank([(), ()]) == 0
-    with pytest.raises(ConsistencyError) as info:
-        hodge.solve_exact([(), ()], [0, F(1, 3)])
-    assert info.value.solution == []
+    # a nonzero rhs misses the empty solution, which is still returned
+    assert hodge.solve_exact([(), ()], [0, 1]) == ([], 1)
 
 
 def _block_of_rank(rng, rank, cols, n_rows):
@@ -630,8 +668,10 @@ def test_solve_exact_randomized_round_trip():
         block = _block_of_rank(rng, n, n, n)
         solution = [F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(n)]
         rows = block + [block[rng.randrange(n)] for _ in range(rng.randrange(0, 3))]
-        rhs = [sum(a * v for a, v in zip(row, solution)) for row in rows]
-        assert hodge.solve_exact(rows, rhs) == solution
+        scale = lcm(*(v.denominator for v in solution))
+        rhs = [sum(a * v * scale for a, v in zip(row, solution)) for row in rows]
+        assert all(v.denominator == 1 for v in rhs)
+        assert [v / scale for v in _solved(rows, [int(v) for v in rhs])] == solution
 
 
 def test_column_rank_randomized_known_rank():
@@ -651,12 +691,15 @@ def test_column_rank_randomized_known_rank():
         assert hodge.column_rank([[s * v for v in row] for s, row in zip(scales, shuffled)]) == rank
         if rank < cols:
             x = [F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(cols)]
+            scale = lcm(*(v.denominator for v in x))
+            rhs = [sum(a * v * scale for a, v in zip(row, x)) for row in block]
+            assert all(v.denominator == 1 for v in rhs)
             with pytest.raises(ConsistencyError, match="column rank below"):
-                hodge.solve_exact(block, [sum(a * v for a, v in zip(row, x)) for row in block])
+                hodge.solve_exact(block, [int(v) for v in rhs])
 
 
 def test_block_elimination_agrees_with_oracle_elimination():
-    # rank, solution, and on a missed row the pivot rows' solution: the
+    # rank, the pivot rows' solution, and whether a row misses it: the
     # program's integer elimination and the oracle's Gauss-Jordan pick the
     # same pivot rows (the first nonzero entry at or below each pivot)
     rng = random.Random(20261019)
@@ -670,6 +713,8 @@ def test_block_elimination_agrees_with_oracle_elimination():
         rhs = [sum((a * v for a, v in zip(row, x)), F(0)) for row in block]
         if rng.random() < 0.5:
             rhs[rng.randrange(n_rows)] += F(rng.randrange(1, 9), rng.randrange(1, 9))
+        scale = lcm(*(b.denominator for b in rhs))
+        rhs = [b.numerator * (scale // b.denominator) for b in rhs]
         work, pivots = _gauss_jordan([[*row, b] for row, b in zip(block, rhs)], cols)
         assert hodge.column_rank(block) == len(pivots)
         if len(pivots) < cols:
@@ -677,12 +722,12 @@ def test_block_elimination_agrees_with_oracle_elimination():
                 hodge.solve_exact(block, rhs)
             continue
         expected = [row[-1] for row in work[:cols]]
-        if any(row[-1] for row in work[cols:]):
-            with pytest.raises(ConsistencyError) as info:
-                hodge.solve_exact(block, rhs)
-            assert info.value.solution == expected
-        else:
-            assert hodge.solve_exact(block, rhs) == expected
+        numerators, det = hodge.solve_exact(block, rhs)
+        assert [F(v, det) for v in numerators] == expected
+        # the extraction's surplus check, row . x == det * rhs, misses
+        # exactly when the oracle leaves a nonzero row
+        assert (any(sum(map(mul, row, numerators)) != det * b for row, b in zip(block, rhs))
+                == any(row[-1] for row in work[cols:]))
 
 
 @pytest.mark.parametrize("call", [
