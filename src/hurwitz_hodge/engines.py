@@ -27,7 +27,8 @@ nonnegative integer for every input.  Three independent engines:
   multiplies its character by sgn(mu), which gives the other half.
   Poles of equal order give equal terms, so the sum runs over
   sub-multisets of the other poles, weighted by the number
-  prod C(m_v, c_v) of labeled subsets each one stands for.
+  prod C(m_v, c_v) of labeled subsets each one stands for, times the
+  #Aut = prod (m_v - c_v)! of the poles left out: prod m_v!/c_v!.
   Both layers count tuples in integers (the connected layer holds
   k! * #Aut(mu) * h); the only division is into ``Fraction`` at the
   public functions;
@@ -148,7 +149,7 @@ def _brute_summaries(k: int, r: int) -> list[dict[tuple[int, ...], int]]:
                 entry["states"] = nxt
             summary: dict[tuple[int, ...], int] = {}
             for (perm, labels), cnt in entry["states"].items():
-                if all(lab == 0 for lab in labels):
+                if not any(labels):
                     ct = _cycle_type(perm)
                     summary[ct] = summary.get(ct, 0) + cnt
             summaries.append(summary)
@@ -288,22 +289,23 @@ def _labeled_connected(mu: tuple[int, ...], r: int) -> int:
     # slots act on that component and of which sheets it covers.  Solve for
     # the connected term.  Subsets taking the same number c_v of the m_v
     # other poles of each order v give the same (block, rest) pair, so each
-    # sub-multiset is visited once with weight prod C(m_v, c_v); taking
-    # every pole leaves no rest and is skipped.
+    # sub-multiset is visited once with weight prod C(m_v, c_v) times the
+    # #Aut(rest) = prod (m_v - c_v)! that the rest's count carries, that is
+    # prod m_v!/c_v!; taking every pole leaves no rest and is skipped.
     orders = sorted(Counter(mu[1:]).items(), reverse=True)
     for counts in product(*(range(m + 1) for _, m in orders)):
         weight = 1
         block = [mu[0]]
         rest = []
         for c, (v, m) in zip(counts, orders):
-            weight *= comb(m, c)
+            weight *= factorial(m) // factorial(c)
             block += [v] * c
             rest += [v] * (m - c)
         if not rest:
             continue
         block_mu = tuple(block)
         rest_mu = tuple(rest)
-        weight *= comb(k, sum(block_mu)) * aut_count(rest_mu)
+        weight *= comb(k, sum(block_mu))
         for r_block in range(sum(block_mu) + len(block_mu) - 2, r + 1, 2):
             h_block = _labeled_connected(block_mu, r_block)
             if not h_block:

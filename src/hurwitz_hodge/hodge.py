@@ -100,22 +100,17 @@ def _exact(value, name: str):
 
 def prefactor(g: int, profile) -> Fraction:
     """The combinatorial factor d!/#Aut * prod_i k_i^{k_i}/k_i! relating the
-    covering count to the normalized polynomial P."""
+    covering count to the normalized polynomial P; as k^k/k! is
+    k^k/(k - 1)! over k, that is d!/(#Aut * prod_i k_i) * weight_w."""
     profile = check_profile(profile)
     d = engines.ramification_count(g, profile)
-    value = Fraction(factorial(d), aut_count(profile))
-    for k in profile:
-        value *= Fraction(k ** k, factorial(k))
-    return value
+    return Fraction(factorial(d), aut_count(profile) * prod(profile)) * weight_w(profile)
 
 
 def weight_w(profile) -> Fraction:
     """Quasihomogeneity weight prod_i k_i^{k_i}/(k_i - 1)!."""
     profile = check_profile(profile)
-    value = Fraction(1)
-    for k in profile:
-        value *= Fraction(k ** k, factorial(k - 1))
-    return value
+    return Fraction(prod(k ** k for k in profile), prod(factorial(k - 1) for k in profile))
 
 
 def degree_LL(g: int, profile, h) -> int:
@@ -155,8 +150,14 @@ def hodge_keys(g: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
     deterministic: j ascending, then the nonzero exponents of b in the
     order partitions_of(3g - 3 + n - j, n) lists them."""
     _require_stable(g, n)
-    return [(j, (0,) * (n - len(parts)) + parts[::-1])
-            for j in range(g + 1) for parts in partitions_of(3 * g - 3 + n - j, n)]
+    return [(j, b) for j in range(g + 1) for b in _ascending(3 * g - 3 + n - j, n)]
+
+
+def _ascending(total: int, m: int) -> list[tuple[int, ...]]:
+    """The ascending m-tuples of nonnegative integers with sum ``total``
+    (m >= 1): the partitions of total into at most m parts, reversed and
+    padded with zeros, in the order partitions_of lists them."""
+    return [(0,) * (m - len(parts)) + parts[::-1] for parts in partitions_of(total, m)]
 
 
 def _key_count(g: int, n: int) -> int:
@@ -250,22 +251,9 @@ def _simplex(m: int, level: int) -> tuple[tuple[int, ...], ...]:
     """The ascending m-tuples of nonnegative integers with sum at most
     ``level``, in lexicographic order.  The level-L sample of n poles is
     _simplex(n, L) shifted by one in every coordinate."""
-    tuples = [((), 0, level)]
-    for slots in range(m, 0, -1):
-        # each of the remaining slots takes at least y
-        tuples = [(t + (y,), y, room - y)
-                  for t, low, room in tuples
-                  for y in range(low, room // slots + 1)]
-    return tuple(t for t, _, _ in tuples)
-
-
-def _poly_with_roots(roots) -> list[int]:
-    """Ascending coefficients of prod (x - v) over ``roots``."""
-    poly = [1]
-    for v in roots:
-        poly = [(poly[t - 1] if t else 0) - v * (poly[t] if t < len(poly) else 0)
-                for t in range(len(poly) + 1)]
-    return poly
+    if not m:
+        return ((),)
+    return tuple(sorted(y for total in range(level + 1) for y in _ascending(total, m)))
 
 
 @lru_cache(maxsize=16)
@@ -293,7 +281,11 @@ def _falling_to_powers(level: int, scaled: bool) -> tuple:
     """The falling factorials (x-1)...(x-a), for a = 0..L and times L!/a!
     if ``scaled``, spread over the powers x^b, as _axis_pass weights: x^b
     collects from every a >= b."""
-    falling = [_poly_with_roots(range(1, a + 1)) for a in range(level + 1)]
+    falling = [[1]]
+    for a in range(1, level + 1):  # (x-1)...(x-a) is the previous row times (x - a)
+        last = falling[-1]
+        falling.append([(last[t - 1] if t else 0) - a * (last[t] if t < a else 0)
+                        for t in range(a + 1)])
     return tuple(
         (b, tuple((factorial(level) // factorial(a) if scaled else 1) * falling[a][b]
                   for a in range(b, level + 1)))

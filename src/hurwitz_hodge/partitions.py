@@ -8,7 +8,8 @@ positive integers that keeps its positions, so inclusion-exclusion over
 labeled poles can address individual entries.  ``check_partition`` and
 ``check_profile`` validate tuples arriving from outside the package.
 Partitions are listed by ``partitions_of`` (valid, never checked again)
-and counted by ``partition_counts`` here and nowhere else.
+and counted by ``partition_counts`` here and nowhere else; ``hodge``
+builds its psi exponent tuples and sample points from ``partitions_of``.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from hurwitz_hodge.engines import (
     genus_zero_closed_form,
     ramification_count,
 )
-from hurwitz_hodge.errors import InfeasibleError
+from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
 from hurwitz_hodge.partitions import partitions_of
 
 
@@ -252,6 +252,20 @@ def _clear_character_engine():
     for table in (engines._char_data, engines._class_row, engines._disconnected,
                   engines._labeled_connected):
         table.cache_clear()
+
+
+def test_indivisible_character_sum_is_refused(monkeypatch):
+    # a class row whose power sum z(mu) does not divide is an engine fault,
+    # named with the class and r; the cleared memo tables keep no value of
+    # the fake row
+    engines._disconnected.cache_clear()
+    monkeypatch.setattr(engines, "_class_row", lambda mu: ((1, 1),))
+    try:
+        with pytest.raises(ConsistencyError,
+                           match=r"^character sum 1 for class \(2,\) and r=1 is not divisible by z=2$"):
+            frobenius_disconnected((2,), 1)
+    finally:
+        engines._disconnected.cache_clear()
 
 
 def test_character_engine_tables_are_thread_safe():

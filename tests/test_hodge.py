@@ -143,6 +143,19 @@ def test_weight_examples():
     assert weight_w((3,)) == F(27, 2)
 
 
+def test_prefactor_matches_per_pole_product():
+    # prefactor goes through weight_w; the oracle multiplies d!/#Aut by
+    # k^k/k! pole by pole, on every ordered profile with k <= 8
+    for k in range(1, 9):
+        for profile in {p for lam in partitions_of(k) for p in permutations(lam)}:
+            aut = prod(factorial(profile.count(v)) for v in set(profile))
+            for g in range(4):
+                expected = F(factorial(k + len(profile) + 2 * g - 2), aut)
+                for part in profile:
+                    expected *= F(part ** part, factorial(part))
+                assert prefactor(g, profile) == expected, (g, profile)
+
+
 def test_degree_ll_examples():
     assert degree_LL(0, (1, 1, 1), F(4)) == 24
     assert degree_LL(1, (2,), F(1, 2)) == 1
@@ -572,6 +585,29 @@ def test_dense_columns_interpolate_their_keys(g, n):
         interpolant = _interpolated({p: F(_monomial_sum(b, p)) for p in _sample(n, level)}, n, level)
         assert {beta: row[c] for beta, row in rows.items()} == {
             beta: (-1) ** j * value for beta, value in interpolant.items()}, (g, n, b, j)
+
+
+def test_simplex_lists_the_monomial_basis_in_order():
+    # _simplex builds its tuples from partitions_of; the oracle filters a
+    # box, and both list them in lexicographic order
+    for level in range(11):
+        assert hodge._simplex(0, level) == ((),)
+        for m in range(1, 7):
+            assert hodge._simplex(m, level) == tuple(_monomial_basis(m, level)), (m, level)
+
+
+@pytest.mark.parametrize("level", [0, 1, 5, 12])
+def test_falling_factorial_rows(level):
+    # read back from the weights, row a is (x-1)...(x-a), times L!/a! when
+    # scaled; checked at more points than the degree, so as polynomials
+    for scaled in (False, True):
+        weights = hodge._falling_to_powers(level, scaled)
+        assert [start for start, _ in weights] == list(range(level + 1))
+        for a in range(level + 1):
+            row = [w[a - b] for b, (_, w) in enumerate(weights[:a + 1])]
+            scale = factorial(level) // factorial(a) if scaled else 1
+            for x in range(-4, level + 6):
+                assert sum(c * x ** b for b, c in enumerate(row)) == scale * prod(x - v for v in range(1, a + 1))
 
 
 def test_stirling_identity():
