@@ -20,29 +20,28 @@ nonnegative integer for every input.  Three independent engines:
   requirement over class-algebra eigenvalues (``frobenius_disconnected``)
   and then peels off disconnected pieces by inclusion-exclusion over the
   poles sharing a component with pole 1.  Each class's character row is
-  computed once and kept as pairs (content sum, sum of dim * chi) merged
-  by content, so the tuple count for r transpositions is a power sum over
-  the row divided exactly by z(mu).  Only the shapes of content sum >= 0
+  computed once and kept, with z(mu), as pairs (content sum, sum of
+  dim * chi) merged by content.  Only the shapes of content sum >= 0
   are computed: conjugating a shape negates its content sum and
   multiplies its character by sgn(mu), which gives the other half.
-  Poles of equal order give equal terms, so the sum runs over
-  sub-multisets of the other poles, weighted by the number
-  prod C(m_v, c_v) of labeled subsets each one stands for, times the
-  #Aut = prod (m_v - c_v)! of the poles left out: prod m_v!/c_v!.
-  Both layers count tuples in integers (the connected layer holds
-  k! * #Aut(mu) * h); the only division is into ``Fraction`` at the
-  public functions;
+  Both layers count pole-labeled tuples, #Aut(mu) times the plain tuple
+  count, in integers: the power sum over the row, checked divisible by
+  z(mu), divided by prod(mu) (disconnected), and k! * #Aut(mu) * h
+  (connected).  Poles of equal order give equal terms, so the
+  inclusion-exclusion runs over sub-multisets of the other poles,
+  weighted by the number prod C(m_v, c_v) of labeled subsets each one
+  stands for.  Only the public functions divide into ``Fraction``, by
+  k! * #Aut(mu);
 * the cut-and-join layer recursion lives in :mod:`hurwitz_hodge.cutjoin`.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial
+from itertools import groupby, product
+from math import comb, factorial, prod
 
 from .characters import _content_sum, _dimension, character_value
 from .errors import ConsistencyError, InfeasibleError
@@ -205,10 +204,10 @@ def _char_data(k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _class_row(mu: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Pairs (content sum c, sum of dim lam * chi^lam(mu) over the shapes lam
-    with content sum c), zero sums dropped: the class's character row with
-    shapes of equal eigenvalue merged.
+def _class_row(mu: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(z(mu), pairs): the pairs are (content sum c, sum of dim lam *
+    chi^lam(mu) over the shapes lam with content sum c), zero sums dropped,
+    the class's character row with shapes of equal eigenvalue merged.
 
     Only the shapes with c >= 0 are computed.  Conjugation lam -> lam' keeps
     the dimension, negates the content sum and multiplies the character by
@@ -225,25 +224,27 @@ def _class_row(mu: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
             weights[content] = weights.get(content, 0) + dim * chi
     sign = -1 if (k - len(mu)) % 2 else 1
     mirrored = [(-content, sign * weight) for content, weight in weights.items() if content > 0]
-    return tuple((content, weight) for content, weight in [*weights.items(), *mirrored] if weight)
+    pairs = tuple((content, weight) for content, weight in [*weights.items(), *mirrored] if weight)
+    return z_order(mu), pairs
 
 
 @lru_cache(maxsize=None)
 def _disconnected(mu: tuple[int, ...], r: int) -> int:
-    """Number of length-r transposition tuples whose product has cycle
-    type mu: sum over the class row of weight * c^r, divided by z(mu)."""
+    """#Aut(mu) times the number of length-r transposition tuples whose
+    product has cycle type mu (cycles labeled by poles): the class row's
+    power sum of weight * c^r, checked divisible by z(mu), over prod(mu)."""
     k, n = sum(mu), len(mu)
     if (r - (k - n)) % 2:
         # a product of r transpositions has sign (-1)^r, the class has sign
         # (-1)^(k-n); on mismatch the count is identically zero
         return 0
-    total = sum(weight * content ** r for content, weight in _class_row(mu))
-    count, remainder = divmod(total, z_order(mu))
-    if remainder:
+    z, pairs = _class_row(mu)
+    total = sum(weight * content ** r for content, weight in pairs)
+    if total % z:
         raise ConsistencyError(
-            f"character sum {total} for class {mu} and r={r} is not divisible by z={z_order(mu)}"
+            f"character sum {total} for class {mu} and r={r} is not divisible by z={z}"
         )
-    return count
+    return total // prod(mu)
 
 
 def _check_bounds(k: int, r: int, k_bound: int, r_bound: int) -> None:
@@ -272,7 +273,7 @@ def frobenius_disconnected(
         raise ValueError(f"transposition count must be a nonnegative integer, got {r!r}")
     k = sum(mu)
     _check_bounds(k, r, k_bound, r_bound)
-    return Fraction(_disconnected(mu, r), factorial(k))
+    return Fraction(_disconnected(mu, r), factorial(k) * aut_count(mu))
 
 
 @lru_cache(maxsize=None)
@@ -282,23 +283,22 @@ def _labeled_connected(mu: tuple[int, ...], r: int) -> int:
     is r = k + n + 2g - 2 for some g >= 0: connected_hurwitz passes
     ramification_count, and the recursion below steps through such r only."""
     k = sum(mu)
-    total = aut_count(mu) * _disconnected(mu, r)
+    total = _disconnected(mu, r)
     # Every component of a covering carries at least one pole, so the
-    # disconnected count splits over the proper pole subsets sharing a
-    # component with pole 1, with a binomial choice of which transposition
-    # slots act on that component and of which sheets it covers.  Solve for
-    # the connected term.  Subsets taking the same number c_v of the m_v
-    # other poles of each order v give the same (block, rest) pair, so each
-    # sub-multiset is visited once with weight prod C(m_v, c_v) times the
-    # #Aut(rest) = prod (m_v - c_v)! that the rest's count carries, that is
-    # prod m_v!/c_v!; taking every pole leaves no rest and is skipped.
-    orders = sorted(Counter(mu[1:]).items(), reverse=True)
+    # pole-labeled disconnected count splits over the proper pole subsets
+    # sharing a component with pole 1, with a binomial choice of which
+    # transposition slots act on that component and of which sheets it
+    # covers.  Solve for the connected term.  Subsets taking the same number
+    # c_v of the m_v other poles of each order v (adjacent in the sorted mu)
+    # give the same (block, rest) pair, so each sub-multiset is visited once
+    # with weight prod C(m_v, c_v); taking every pole leaves no rest.
+    orders = [(v, len(list(run))) for v, run in groupby(mu[1:])]
     for counts in product(*(range(m + 1) for _, m in orders)):
         weight = 1
         block = [mu[0]]
         rest = []
         for c, (v, m) in zip(counts, orders):
-            weight *= factorial(m) // factorial(c)
+            weight *= comb(m, c)
             block += [v] * c
             rest += [v] * (m - c)
         if not rest:

@@ -322,7 +322,7 @@ def _axis_pass(stage: dict, n: int, level: int, weights) -> dict:
     return {head: value for (head, _), value in stage.items()}
 
 
-def _interpolate(values: dict, n: int, level: int) -> tuple[dict, int]:
+def interpolate(values: dict, n: int, level: int) -> tuple[dict, int]:
     """Coefficients c_beta, for beta ascending of total at most L, of the
     symmetric polynomial of total degree at most L that takes ``values``
     (sample point -> Fraction) on the level-L sample, as integer numerators
@@ -511,7 +511,7 @@ def extract_hodge_integrals(
     system = _reduced_system(g, n, level)
     points = [tuple(y + 1 for y in alpha) for alpha in _simplex(n, level)]
     values = {point: normalized_value(g, point, hurwitz) for point in points}
-    numerators, scale = _interpolate(values, n, level)
+    numerators, scale = interpolate(values, n, level)
     rhs = [numerators[beta] for beta in system.free]
     dense, det = solve_exact(system.block, rhs)
     solution = _back_substitute(system, numerators, dense, det)

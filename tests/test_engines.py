@@ -1,8 +1,10 @@
+import importlib.util
 import sys
 import threading
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -256,16 +258,36 @@ def _clear_character_engine():
 
 def test_indivisible_character_sum_is_refused(monkeypatch):
     # a class row whose power sum z(mu) does not divide is an engine fault,
-    # named with the class and r; the cleared memo tables keep no value of
-    # the fake row
+    # named with the class, r and z; the fake record keeps z((2,)) = 2, and
+    # the cleared memo tables keep no value of its row
     engines._disconnected.cache_clear()
-    monkeypatch.setattr(engines, "_class_row", lambda mu: ((1, 1),))
+    monkeypatch.setattr(engines, "_class_row", lambda mu: (2, ((1, 1),)))
     try:
         with pytest.raises(ConsistencyError,
                            match=r"^character sum 1 for class \(2,\) and r=1 is not divisible by z=2$"):
             frobenius_disconnected((2,), 1)
     finally:
         engines._disconnected.cache_clear()
+
+
+def test_poles_queries_count_aut_and_z_once_per_class(monkeypatch):
+    # both layers count pole-labeled tuples: on the benchmark's poles
+    # queries z(mu) is computed once per class row built and #Aut(mu) once
+    # per public call, never inside the recursion
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    _clear_character_engine()
+    calls = []
+    for name in ("aut_count", "z_order"):
+        original = getattr(engines, name)
+        monkeypatch.setattr(engines, name,
+                            lambda mu, original=original: calls.append(mu) or original(mu))
+    for g, profile in workloads.POLES:
+        connected_hurwitz(g, profile, k_bound=16)
+    rows = engines._class_row.cache_info().misses
+    assert rows and len(calls) <= rows + len(workloads.POLES), (len(calls), rows)
 
 
 def test_character_engine_tables_are_thread_safe():
@@ -330,7 +352,7 @@ def test_class_row_matches_full_character_sum(k):
         for lam in shapes:
             content = content_eigenvalue(lam)
             full[content] = full.get(content, 0) + irrep_dimension(lam) * character_value(lam, mu)
-        assert dict(engines._class_row(mu)) == {c: w for c, w in full.items() if w}
+        assert dict(engines._class_row(mu)[1]) == {c: w for c, w in full.items() if w}
 
 
 def test_engine_agreement_sample():

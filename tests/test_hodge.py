@@ -482,8 +482,10 @@ def test_design_matrix_matches_set_of_permutations():
 
 def test_extraction_goes_through_hodge_call_sites(monkeypatch):
     # the benchmark's tracer times the grid probe, the rank calls and the
-    # solve by wrapping these module attributes
-    calls = {name: 0 for name in ("column_rank", "solve_exact", "minimal_grid_bound")}
+    # solve by wrapping these module attributes; the interpolation is
+    # called through the module too, so that a wrapper sees every call
+    names = ("column_rank", "solve_exact", "minimal_grid_bound", "interpolate")
+    calls = {name: 0 for name in names}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -547,9 +549,9 @@ def test_warm_extraction_ranks_no_block(monkeypatch):
 
 
 def _interpolated(values, n, level):
-    """hodge._interpolate's integer numerators over D as Fractions, after
+    """hodge.interpolate's integer numerators over D as Fractions, after
     checking that D is the values' common denominator times L!^n."""
-    numerators, denominator = hodge._interpolate(values, n, level)
+    numerators, denominator = hodge.interpolate(values, n, level)
     assert denominator == lcm(*(F(v).denominator for v in values.values())) * factorial(level) ** n
     assert all(type(v) is int for v in numerators.values())
     return {beta: F(v, denominator) for beta, v in numerators.items()}
