@@ -126,27 +126,27 @@ def read_records(path: str) -> list[dict[str, str]]:
     return list(snap.records)
 
 
-def find(path: str, keys) -> list[dict[str, str] | None]:
-    """For each key, the first record under it in the cache file at
-    ``path``, or None; a missing file is an empty cache.  A key is a kind
-    followed by the fields that kind is read by, as written in the file:
-    ``("hurwitz", g, mu)``, ``("degll", g, mu)`` or ``("hodge", g, n, b, j)``,
-    e.g. ``("hurwitz", "1", "2")``."""
+def find(path: str, records) -> list[dict[str, str] | None]:
+    """For each of ``records``, the first record in the cache file at
+    ``path`` with the same key, or None; a missing file is an empty cache.
+    A key is a kind and the fields that kind is read by, so the records a
+    command would write find their own, with or without ``engine`` and
+    ``value``: ``{"kind": "hurwitz", "g": "1", "mu": "2"}``."""
     if not os.path.exists(path):
-        return [None] * len(keys)
+        return [None] * len(records)
     # one read through the module global, so a wrapper installed on
     # read_records sees it
-    records = read_records(path)
+    found = read_records(path)
     snap = _SNAPSHOTS.get(path)
     first: dict = {}
     # the snapshot's index holds only if its records begin this read (list
     # == compares identical dicts by identity, so the check is cheap)
-    if snap is not None and records[:len(snap.records)] == snap.records:
-        first, records = snap.first, records[len(snap.records):]
+    if snap is not None and found[:len(snap.records)] == snap.records:
+        first, found = snap.first, found[len(snap.records):]
     rest: dict = {}
-    for record in records:
+    for record in found:
         rest.setdefault(_key(record), record)
-    return [first[key] if key in first else rest.get(key) for key in keys]
+    return [first[key] if key in first else rest.get(key) for key in map(_key, records)]
 
 
 def parse_field(path: str, record: dict[str, str], field: str, parse):

@@ -159,7 +159,8 @@ def _cmd_hurwitz(args) -> int:
     profile = parse_profile(args.profile)
     g = args.genus
     mu_text = ",".join(map(str, sorted(profile, reverse=True)))
-    cached = cache_store.find(args.cache, [("hurwitz", str(g), mu_text)])[0] if args.cache else None
+    record = {"kind": "hurwitz", "g": str(g), "mu": mu_text}
+    cached = cache_store.find(args.cache, [record])[0] if args.cache else None
     if cached is not None:
         value = cache_store.parse_field(args.cache, cached, "value", Fraction)
         try:
@@ -171,13 +172,9 @@ def _cmd_hurwitz(args) -> int:
     else:
         value, engine_used = _compute_hurwitz(args, g, profile)
         if args.cache:
-            cache_store.append_records(
-                args.cache,
-                [{"kind": "hurwitz", "g": str(g), "mu": mu_text,
-                  "engine": engine_used, "value": str(value)}],
-            )
+            cache_store.append_records(args.cache, [dict(record, engine=engine_used, value=str(value))])
     if args.format == "record":
-        print(f"hurwitz genus={g} profile={args.profile} engine={args.engine} value={value}")
+        print(f"hurwitz genus={g} profile={','.join(map(str, profile))} engine={args.engine} value={value}")
     else:
         print(value)
     return EXIT_OK
@@ -187,8 +184,8 @@ def _cmd_hurwitz(args) -> int:
 # hodge
 
 
-def _hodge_cache_key(g, n, b, j) -> tuple[str, ...]:
-    return ("hodge", str(g), str(n), ",".join(map(str, b)), str(j))
+def _hodge_record(g, n, b, j, **fields) -> dict[str, str]:
+    return {"kind": "hodge", "g": str(g), "n": str(n), "b": ",".join(map(str, b)), "j": str(j), **fields}
 
 
 def _cmd_hodge(args) -> int:
@@ -203,7 +200,7 @@ def _cmd_hodge(args) -> int:
         records = len(cache_store.read_records(args.cache))
     if max(g, n - 4) < records and hodge._key_count(g, n) <= records:
         keys = hodge.hodge_keys(g, n)
-        hits = cache_store.find(args.cache, [_hodge_cache_key(g, n, b, j) for j, b in keys])
+        hits = cache_store.find(args.cache, [_hodge_record(g, n, b, j) for j, b in keys])
         if None not in hits:
             table = hodge.HodgeTable()
             for (j, b), hit in zip(keys, hits):
@@ -211,22 +208,14 @@ def _cmd_hodge(args) -> int:
     if table is None:
         table = hodge.extract_hodge_integrals(g, n, k_bound=args.kmax, r_bound=args.rmax)
         if args.cache:
-            keys = table.sorted_keys()
-            hits = cache_store.find(args.cache, [_hodge_cache_key(*key) for key in keys])
-            cache_store.append_records(
-                args.cache,
-                [
-                    {"kind": "hodge", "g": str(kg), "n": str(kn),
-                     "b": ",".join(map(str, kb)), "j": str(kj),
-                     "engine": "extraction", "value": str(table.values[(kg, kn, kb, kj)])}
-                    for (kg, kn, kb, kj), hit in zip(keys, hits)
-                    if hit is None
-                ],
-            )
+            written = [_hodge_record(*key, engine="extraction", value=str(value))
+                       for key, value in sorted(table.values.items())]
+            hits = cache_store.find(args.cache, written)
+            cache_store.append_records(args.cache, [rec for rec, hit in zip(written, hits) if hit is None])
     if args.format == "table":
         print("g n b j value")
-        for kg, kn, kb, kj in table.sorted_keys():
-            print(f"{kg} {kn} {','.join(map(str, kb))} {kj} {table.values[(kg, kn, kb, kj)]}")
+        for (kg, kn, kb, kj), value in sorted(table.values.items()):
+            print(f"{kg} {kn} {','.join(map(str, kb))} {kj} {value}")
     else:
         for line in table.to_lines():
             print(line)

@@ -224,15 +224,12 @@ class HodgeTable:
     def __len__(self) -> int:
         return len(self.values)
 
-    def sorted_keys(self) -> list[HodgeKey]:
-        return sorted(self.values)
-
     def to_lines(self) -> list[str]:
         """Line-delimited records ``g=.. n=.. b=..,.. j=.. value=num/den``
         in deterministic key order."""
         return [
-            f"g={g} n={n} b={','.join(map(str, b))} j={j} value={self.values[(g, n, b, j)]}"
-            for g, n, b, j in self.sorted_keys()
+            f"g={g} n={n} b={','.join(map(str, b))} j={j} value={value}"
+            for (g, n, b, j), value in sorted(self.values.items())
         ]
 
 

@@ -94,8 +94,8 @@ def _key_of(record):
     return (record["kind"], *(record[field] for field in _KEY_FIELDS.get(record["kind"], ())))
 
 
-def _first_match(records, key):
-    return next((record for record in records if _key_of(record) == key), None)
+def _first_match(records, wanted):
+    return next((record for record in records if _key_of(record) == _key_of(wanted)), None)
 
 
 def _outcome(call, *args):
@@ -118,8 +118,10 @@ def _random_line(rng):
             f"engine=extraction value={rng.randint(0, 9)}/{rng.randint(1, 9)}")
 
 
-_KEYS = [("hurwitz", str(g), mu) for g in range(3) for mu in ("1", "2", "2,1", "3")] + [
-    ("hodge", "1", str(n), str(b), str(j)) for n in (1, 2) for b in range(3) for j in (0, 1)
+_WANTED = [{"kind": "hurwitz", "g": str(g), "mu": mu}
+           for g in range(3) for mu in ("1", "2", "2,1", "3")] + [
+    {"kind": "hodge", "g": "1", "n": str(n), "b": str(b), "j": str(j)}
+    for n in (1, 2) for b in range(3) for j in (0, 1)
 ]
 
 
@@ -158,9 +160,9 @@ def test_incremental_reads_match_fresh_reads(tmp_path):
         expected = _outcome(read_records, str(fresh))
         assert _outcome(read_records, str(path)) == expected, (step, text)
         if isinstance(expected, str):
-            assert _outcome(find, str(path), _KEYS) == expected
+            assert _outcome(find, str(path), _WANTED) == expected
         else:
-            assert find(str(path), _KEYS) == [_first_match(expected, key) for key in _KEYS], step
+            assert find(str(path), _WANTED) == [_first_match(expected, wanted) for wanted in _WANTED], step
         if op in ("truncate", "bare-header") and rng.random() < 0.5:
             text = SCHEMA_LINE + "\n"  # start over from a readable file
     assert seen == set(ops)
@@ -202,14 +204,17 @@ def test_header_without_line_break_is_an_empty_cache(tmp_path):
 
 def test_find_first_record_wins_and_missing_file_is_empty(tmp_path):
     path = str(tmp_path / "cache.txt")
-    key = ("hurwitz", "1", "2")
-    assert find(path, [key]) == [None]
-    first = {"kind": "hurwitz", "g": "1", "mu": "2", "engine": "brute", "value": "1/2"}
+    wanted = {"kind": "hurwitz", "g": "1", "mu": "2"}
+    assert find(path, [wanted]) == [None]
+    first = dict(wanted, engine="brute", value="1/2")
     append_records(path, [first, dict(first, value="7")])
-    assert find(path, [key, ("hurwitz", "1", "3")]) == [first, None]
+    assert find(path, [wanted, dict(wanted, mu="3")]) == [first, None]
+    # engine and value are no part of the key: a record to be written finds
+    # the stored one under its key, whatever its own engine and value
+    assert find(path, [dict(first, engine="frobenius", value="7")]) == [first]
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("kind=hurwitz g=1 mu=3 engine=brute value=4")  # no line break yet
-    assert find(path, [("hurwitz", "1", "3")])[0]["value"] == "4"
+    assert find(path, [dict(wanted, mu="3")])[0]["value"] == "4"
 
 
 def test_concurrent_reads_see_prefixes(tmp_path):
@@ -217,7 +222,7 @@ def test_concurrent_reads_see_prefixes(tmp_path):
     records = [{"kind": "hurwitz", "g": "0", "mu": str(k), "engine": "brute", "value": str(k)}
                for k in range(1, 101)]
     append_records(path, records[:1])
-    keys = [("hurwitz", "0", str(k)) for k in (1, 25, 50, 100)]
+    wanted = [records[k - 1] for k in (1, 25, 50, 100)]
     start = threading.Barrier(5)
     done = threading.Event()
     reads, hits, errors = [], [], []
@@ -227,7 +232,7 @@ def test_concurrent_reads_see_prefixes(tmp_path):
         try:
             while not done.is_set():
                 reads.append(read_records(path))
-                hits.append(find(path, keys))
+                hits.append(find(path, wanted))
         except Exception as exc:  # reported below, not lost in the thread
             errors.append(exc)
 
@@ -250,7 +255,7 @@ def test_concurrent_reads_see_prefixes(tmp_path):
     assert errors == []
     assert read_records(path) == records
     assert reads and all(result == records[:len(result)] for result in reads)
-    expected = [_first_match(records, key) for key in keys]
+    expected = [_first_match(records, record) for record in wanted]
     assert hits and all(hit in (None, want) for found in hits for hit, want in zip(found, expected))
 
 
@@ -313,10 +318,10 @@ def test_find_looks_up_what_read_records_returns(tmp_path, monkeypatch):
     path = str(tmp_path / "cache.txt")
     first = {"kind": "hurwitz", "g": "1", "mu": "2", "engine": "brute", "value": "1/2"}
     append_records(path, [first, dict(first, value="7")])
-    assert cache.find(path, [("hurwitz", "1", "2")]) == [first]
+    assert cache.find(path, [first]) == [first]
     original = cache.read_records
     monkeypatch.setattr(cache, "read_records", lambda p: [dict(r, engine="x") for r in original(p)])
-    assert cache.find(path, [("hurwitz", "1", "2")]) == [dict(first, engine="x")]
+    assert cache.find(path, [first]) == [dict(first, engine="x")]
 
 
 def test_round_trip_without_flock(tmp_path, monkeypatch):
@@ -348,7 +353,7 @@ def test_repeated_field_rejected(tmp_path):
     with pytest.raises(CacheError, match="malformed cache record on line 3: g given twice"):
         read_records(str(path))
     with pytest.raises(CacheError, match="line 3: g given twice"):
-        find(str(path), [("hurwitz", "5", "2")])
+        find(str(path), [{"kind": "hurwitz", "g": "5", "mu": "2"}])
 
 
 def test_unwritable_path_rejected(tmp_path):

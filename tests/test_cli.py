@@ -36,6 +36,13 @@ def test_record_format(capsys):
     assert out == "hurwitz genus=0 profile=2,1 engine=auto value=4\n"
 
 
+@pytest.mark.parametrize("text", [" 2, 1", "02,1"])
+def test_record_format_prints_the_parsed_profile(capsys, text):
+    # the profile as parsed, so every token of the line stays field=value
+    code, out, _ = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", text, "--format", "record")
+    assert (code, out) == (0, "hurwitz genus=0 profile=2,1 engine=auto value=4\n")
+
+
 def test_bad_arguments_exit_1(capsys):
     assert run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "2,x")[0] == 1
     assert run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "0,1")[0] == 1
@@ -203,7 +210,7 @@ def test_cache_reads_go_through_read_records(capsys, tmp_path, monkeypatch):
     argv = ("hurwitz", "--genus", "1", "--profile", "2", "--cache", cache)
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv) == (0, "1/2\n", "")
     assert sizes == [1]  # the first call found no file, the second read one record
-    assert cache_store.find(cache, [("hurwitz", "1", "2")])[0]["value"] == "1/2"
+    assert cache_store.find(cache, [{"kind": "hurwitz", "g": "1", "mu": "2"}])[0]["value"] == "1/2"
     assert sizes == [1, 1]
 
 

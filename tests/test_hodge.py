@@ -787,3 +787,61 @@ def test_huge_point_count_refused_before_its_first_profile_is_built(monkeypatch)
     monkeypatch.setattr(engines, "check_profile", refuse)
     with pytest.raises(InfeasibleError, match="k=10000000 exceeds bound 10"):
         extract_hodge_integrals(0, 10 ** 7)
+
+
+# Checks that use no Hurwitz count.  Lambda classes pull back under the map
+# forgetting a point, so the string and dilaton equations (Witten 1991) hold
+# for every <psi^b lambda_j>; and the lambda_g column has the closed form of
+# Faber-Pandharipande (2000).  Each pair (g, n) is checked against (g, n + 1).
+FORGETFUL_PAIRS = ([(0, n) for n in range(3, 7)] + [(1, n) for n in range(1, 6)]
+                   + [(2, n) for n in range(1, 4)] + [(3, 1), (3, 2), (4, 1)])
+
+
+@pytest.fixture(scope="module")
+def forgetful_tables():
+    moduli = {(g, m) for g, n in FORGETFUL_PAIRS for m in (n, n + 1)}
+    return {(g, n): extract_hodge_integrals(g, n, k_bound=40, r_bound=80) for g, n in sorted(moduli)}
+
+
+def test_string_and_dilaton_equations(forgetful_tables):
+    strings = dilatons = 0
+    for g, n in FORGETFUL_PAIRS:
+        lower = forgetful_tables[g, n]
+        for (_, _, b, j), value in forgetful_tables[g, n + 1].values.items():
+            if 0 in b:  # string: <tau_0 prod tau_b> = sum_i <.. tau_{b_i - 1} ..>
+                rest = list(b)
+                rest.remove(0)
+                expected = sum((lower.get(g, n, rest[:i] + [e - 1] + rest[i + 1:], j)
+                                for i, e in enumerate(rest) if e > 0), F(0))
+                assert value == expected, ("string", g, n + 1, b, j)
+                strings += 1
+            if 1 in b:  # dilaton: <tau_1 prod tau_b> = (2g - 2 + n) <prod tau_b>
+                rest = list(b)
+                rest.remove(1)
+                assert value == (2 * g - 2 + n) * lower.get(g, n, rest, j), ("dilaton", g, n + 1, b, j)
+                dilatons += 1
+    # 152 keys, 49 of which hold both a 0 and a 1
+    assert (strings, dilatons) == (112, 89)
+
+
+def _bernoulli(m):
+    """B_m from B_0 = 1 and sum_{i <= k} C(k + 1, i) B_i = 0 for k >= 1."""
+    numbers = [F(1)]
+    for k in range(1, m + 1):
+        numbers.append(-sum(comb(k + 1, i) * numbers[i] for i in range(k)) / (k + 1))
+    return numbers[m]
+
+
+def test_lambda_g_column_matches_faber_pandharipande(forgetful_tables):
+    # <psi^b lambda_g>_{g,n} = (2g - 3 + n)! / prod b_i! * b_g, with
+    # b_g = (2^(2g-1) - 1) |B_2g| / (2^(2g-1) (2g)!)
+    checks = 0
+    for (g, n), table in forgetful_tables.items():
+        if g == 0:
+            continue
+        b_g = F(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1) * factorial(2 * g)) * abs(_bernoulli(2 * g))
+        for (_, _, b, j), value in table.values.items():
+            if j == g:
+                assert value == F(factorial(2 * g - 3 + n), prod(map(factorial, b))) * b_g, (g, n, b)
+                checks += 1
+    assert checks == 48
