@@ -15,7 +15,12 @@ h_{0;1,1,1} = 4, h_{0;2,1} = 4 and h_{1;2} = 1/2, and it makes h * k! a
 nonnegative integer for every input.  Three independent engines:
 
 * ``brute_force_hurwitz`` counts the tuples exactly by dynamic programming
-  over (partial product, connectivity-so-far) states;
+  over (partial product, connectivity-so-far) states.  The start state
+  and the set of transpositions are invariant under relabelling the
+  sheets, so the count is the same on every state of an orbit: the
+  program steps orbit totals (27 orbits at k = 5, not 501 states), each
+  orbit named by the sorted cycle types of its blocks and carried by a
+  move table built once from one representative;
 * ``connected_hurwitz`` expands the count without the connectivity
   requirement over class-algebra eigenvalues (``frobenius_disconnected``)
   and then peels off disconnected pieces by inclusion-exclusion over the
@@ -63,29 +68,16 @@ def ramification_count(g: int, profile) -> int:
 
 
 # ---------------------------------------------------------------------------
-# brute force: exact state-space count of transposition tuples
-
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+# brute force: exact count of transposition tuples, stepped over the orbits
+# of (partial product, connectivity) states under relabelling the sheets
 
 
 def _state_bound(k: int) -> int:
     """Number of (permutation, set partition) pairs on k sheets whose
     partition is coarser than the permutation's cycles, the sum over set
-    partitions of prod |block|! (1, 3, 13, 73, 501, ...): a bound on the
-    states one brute-force step visits."""
+    partitions of prod |block|! (1, 3, 13, 73, 501, ...): an upper bound
+    on the orbits of such pairs that one brute-force step visits (27 of
+    them at k = 5)."""
     before, count = 1, 1
     for n in range(2, k + 1):
         before, count = count, (2 * n - 1) * count - (n - 1) * (n - 2) * before
@@ -94,12 +86,15 @@ def _state_bound(k: int) -> int:
 
 def _brute_work(k: int, r: int, bound: int | None = None) -> int:
     """Work estimate for r brute-force steps on k sheets, in units of about
-    0.1 us (measured with CPython 3.11 on one Xeon core), so that the
-    default bound is about 10 s.  Each step tries C(k,2) transpositions and
-    one summary pass on at most ``_state_bound(k)`` states, about 12 units
-    per visit plus one unit per 2048 bits of the counts, which stay below
-    C(k,2)^r.  Each step also keeps one summary of at most p(k) counts (p(k)
-    is counted, not listed), charged 1000 units plus one per byte kept.
+    0.1 us (measured with CPython 3.11 on one Xeon core).  It counts
+    states, not orbits: C(k,2) transpositions and one summary pass on each
+    of ``_state_bound(k)`` states, about 12 units per visit plus one unit
+    per 2048 bits of the counts, which stay below C(k,2)^r.  Each step also
+    keeps one summary of at most p(k) counts (p(k) is counted, not listed),
+    charged 1000 units plus one per byte kept.  The engine steps orbits,
+    far fewer than the states (27 against 501 at k = 5), so the estimate
+    is an upper bound that overstates the cost: cold, (5, 12) is
+    estimated at 81 ms and takes 0.9 ms, (6, 14) at 1.1 s and takes 3 ms.
 
     When the visits alone exceed ``bound``, their work is returned without
     counting p(k), which takes O(k^2) big-integer additions."""
@@ -111,47 +106,76 @@ def _brute_work(k: int, r: int, bound: int | None = None) -> int:
     return work + steps * (1000 + partition_counts(k, k)[k] * bits // 8)
 
 
-def _merge_labels(labels: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    # each block is labelled by its least sheet, so merging keeps the
-    # smaller label and the labelling stays canonical
-    la, lb = labels[a], labels[b]
-    if la == lb:
-        return labels
-    keep, drop = (la, lb) if la < lb else (lb, la)
-    return tuple(keep if lab == drop else lab for lab in labels)
+def _orbit_moves(key: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, int], ...]:
+    """(successor orbit, multiplicity) pairs of one orbit: the orbits that
+    the C(k,2) transpositions carry one representative state into, with
+    the number of transpositions landing in each.
+
+    A state is a (permutation, connectivity partition) pair; its orbit under
+    relabelling the sheets is named by its key, the sorted tuple of the
+    cycle types of its blocks.  The representative puts the blocks and
+    their cycles on consecutive sheets, each block labelled by its first."""
+    perm: list[int] = []
+    labels: list[int] = []
+    for block in key:
+        first = len(perm)
+        for length in block:
+            start = len(perm)
+            perm += [start + (j + 1) % length for j in range(length)]
+        labels += [first] * (len(perm) - first)
+    k = len(perm)
+    moves: dict[tuple, int] = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            # t o perm, and the blocks of a and b merged; every cycle of the
+            # product lies in one block, which collects its length
+            newperm = [b if v == a else a if v == b else v for v in perm]
+            drop, keep = labels[b], labels[a]
+            blocks: dict[int, list[int]] = {}
+            seen = [False] * k
+            for start in range(k):
+                if seen[start]:
+                    continue
+                length, i = 0, start
+                while not seen[i]:
+                    seen[i] = True
+                    i = newperm[i]
+                    length += 1
+                label = keep if labels[start] == drop else labels[start]
+                blocks.setdefault(label, []).append(length)
+            succ = tuple(sorted(tuple(sorted(cycles, reverse=True)) for cycles in blocks.values()))
+            moves[succ] = moves.get(succ, 0) + 1
+    return tuple(moves.items())
 
 
 # per sheet count k: summaries[r] maps a cycle type to the number of
 # length-r transposition tuples with that product whose edge graph is
-# connected; states carry the evolving (product, connectivity) pairs
+# connected; states maps each orbit reached after the last step to the
+# number of tuples ending in it, and moves holds each orbit's move table,
+# built the first time the orbit is stepped
 _BRUTE_STATE: dict[int, dict] = {}
-# held while a state table is advanced, so that concurrent callers neither
-# step the same states twice nor append a summary out of turn
+# held while a table is advanced, so that concurrent callers neither step
+# the same orbits twice nor append a summary out of turn
 _BRUTE_LOCK = threading.Lock()
 
 
 def _brute_summaries(k: int, r: int) -> list[dict[tuple[int, ...], int]]:
-    transpositions = [(a, b) for a in range(k) for b in range(a + 1, k)]
     with _BRUTE_LOCK:
         entry = _BRUTE_STATE.setdefault(
-            k, {"states": {(tuple(range(k)), tuple(range(k))): 1}, "summaries": []}
+            k, {"states": {((1,),) * k: 1}, "summaries": [], "moves": {}}
         )
-        summaries = entry["summaries"]
+        summaries, moves = entry["summaries"], entry["moves"]
         while len(summaries) <= r:
             if summaries:
                 nxt: dict = {}
-                for (perm, labels), cnt in entry["states"].items():
-                    for a, b in transpositions:
-                        newperm = tuple(b if v == a else a if v == b else v for v in perm)
-                        key = (newperm, _merge_labels(labels, a, b))
-                        nxt[key] = nxt.get(key, 0) + cnt
+                for key, total in entry["states"].items():
+                    if key not in moves:
+                        moves[key] = _orbit_moves(key)
+                    for succ, times in moves[key]:
+                        nxt[succ] = nxt.get(succ, 0) + times * total
                 entry["states"] = nxt
-            summary: dict[tuple[int, ...], int] = {}
-            for (perm, labels), cnt in entry["states"].items():
-                if not any(labels):
-                    ct = _cycle_type(perm)
-                    summary[ct] = summary.get(ct, 0) + cnt
-            summaries.append(summary)
+            # the connected orbits: one block, named by its cycle type
+            summaries.append({key[0]: total for key, total in entry["states"].items() if len(key) == 1})
     return summaries
 
 
@@ -166,10 +190,14 @@ def brute_force_hurwitz(
 
     The count runs over all length-d transposition tuples, grouped by
     (partial product, connectivity partition) so that equivalent prefixes
-    are counted once; connectivity of the final edge graph is the orbit
-    (transitivity) test for the generated subgroup.  Infeasible inputs
+    are counted once, and those states grouped by their orbit under
+    relabelling the sheets, which keeps the count; each step adds
+    m * T(O) to T(O') for the m transpositions carrying orbit O into O'.
+    Connectivity of the final edge graph (a one-block orbit) is the
+    transitivity test for the generated subgroup.  Infeasible inputs
     raise instead of approximating: k above ``sheet_bound``, or a state
-    space worse than ``work_bound`` (estimated by ``_brute_work(k, d)``).
+    space worse than ``work_bound`` (estimated by ``_brute_work(k, d)``,
+    which counts states and so overstates the orbits' cost).
     """
     profile = check_profile(profile)
     r = ramification_count(g, profile)

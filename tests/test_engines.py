@@ -249,6 +249,63 @@ def test_brute_force_state_table_is_thread_safe():
     assert len(engines._BRUTE_STATE[5]["summaries"]) == r + 1
 
 
+def _state_summaries(k, r):
+    """The brute-force summaries stepped state by state: (permutation,
+    connectivity labels) pairs, each block labelled by its least sheet."""
+    transpositions = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    states = {(tuple(range(k)), tuple(range(k))): 1}
+    summaries = []
+    for step in range(r + 1):
+        if step:
+            nxt = {}
+            for (perm, labels), cnt in states.items():
+                for a, b in transpositions:
+                    keep, drop = sorted((labels[a], labels[b]))
+                    key = (tuple(_apply(perm, a, b)),
+                           tuple(keep if lab == drop else lab for lab in labels))
+                    nxt[key] = nxt.get(key, 0) + cnt
+            states = nxt
+        summary = {}
+        for (perm, labels), cnt in states.items():
+            if not any(labels):
+                ct = _cycle_type(perm)
+                summary[ct] = summary.get(ct, 0) + cnt
+        summaries.append(summary)
+    return summaries
+
+
+@pytest.mark.parametrize("k,r", [(1, 12), (2, 12), (3, 12), (4, 12), (5, 12), (6, 8)])
+def test_orbit_summaries_match_state_summaries(k, r):
+    assert engines._brute_summaries(k, r)[:r + 1] == _state_summaries(k, r)
+
+
+def test_each_orbit_move_table_is_built_once(monkeypatch):
+    # one table per multiset of partitions of k (the block cycle types),
+    # all reached within 3k steps; a longer run reuses them
+    built = []
+    original = engines._orbit_moves
+    monkeypatch.setattr(engines, "_orbit_moves", lambda key: built.append(key) or original(key))
+    for k, orbits in zip(range(1, 6), (1, 3, 6, 14, 27)):
+        saved = engines._BRUTE_STATE.pop(k, None)
+        try:
+            built.clear()
+            engines._brute_summaries(k, 3 * k)
+            assert len(built) == len(set(built)) == len(engines._BRUTE_STATE[k]["moves"]) == orbits
+            built.clear()
+            engines._brute_summaries(k, 3 * k + 5)
+            assert built == []
+        finally:
+            engines._BRUTE_STATE.pop(k, None)
+            if saved is not None:
+                engines._BRUTE_STATE[k] = saved
+
+
+@pytest.mark.parametrize("mu", partitions_of(6))
+def test_brute_force_six_sheets_matches_frobenius(mu):
+    for g in range(3):
+        assert brute_force_hurwitz(g, mu, sheet_bound=6) == connected_hurwitz(g, mu)
+
+
 def _clear_character_engine():
     characters._expansion.cache_clear()
     for table in (engines._char_data, engines._class_row, engines._disconnected,
