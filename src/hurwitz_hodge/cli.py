@@ -49,70 +49,22 @@ def _bound(text: str) -> int:
     return value
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its command map, command name -> sub-parser."""
-    parser = _Parser(prog="hurwitz-hodge", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    hur = sub.add_parser("hurwitz", help="compute one connected Hurwitz number")
-    hur.add_argument("--genus", type=int, required=True)
-    hur.add_argument("--profile", required=True, help="pole orders, e.g. 2,1,1")
-    hur.add_argument("--engine", choices=("auto", "brute", "frobenius", "cutjoin"), default="auto")
-    hur.add_argument("--format", choices=("value", "record"), default="value")
-    hur.add_argument("--cache", help="append-only cache file")
-    hur.add_argument("--brute-sheets", type=_bound, default=engines.DEFAULT_SHEET_BOUND)
-    hur.add_argument("--brute-work", type=_bound, default=engines.DEFAULT_WORK_BOUND)
-    hur.add_argument("--kmax", type=_bound, default=engines.DEFAULT_K_BOUND,
-                     help="sheet bound for the character engine")
-    hur.add_argument("--rmax", type=_bound, default=engines.DEFAULT_R_BOUND)
-    hur.add_argument("--cutjoin-kmax", type=_bound, default=cutjoin.DEFAULT_TRUNCATION)
-    hur.set_defaults(func=_cmd_hurwitz)
-
-    hdg = sub.add_parser("hodge", help="extract a table of psi/lambda integrals")
-    hdg.add_argument("--genus", type=int, required=True)
-    hdg.add_argument("--points", type=int, required=True, help="number of marked points n")
-    hdg.add_argument("--format", choices=("records", "table"), default="records")
-    hdg.add_argument("--cache", help="append-only cache file")
-    hdg.add_argument("--kmax", type=_bound, default=engines.DEFAULT_K_BOUND)
-    hdg.add_argument("--rmax", type=_bound, default=engines.DEFAULT_R_BOUND)
-    hdg.set_defaults(func=_cmd_hodge)
-
-    ver = sub.add_parser("verify", help="run one verification suite")
-    ver.add_argument("suite", choices=verify.SUITES)
-    ver.add_argument("--gmax", type=int, default=2, help="genus budget for fp-identity")
-    ver.add_argument("--cache", help="cache file (degll also checks its records)")
-    ver.set_defaults(func=_cmd_verify)
-    return parser, sub.choices
-
-
-# built on the first call to main and reused: parsing leaves no state on the
-# parser, and building it costs more than most commands
+# built on the first call to main that _quick declines, and reused: parsing
+# leaves no state on the parser, and building it costs more than most commands
 _PARSER: argparse.ArgumentParser | None = None
-_COMMANDS: dict[str, argparse.ArgumentParser] = {}
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    # A known command goes straight to its sub-parser, which reads the
-    # arguments once; through _PARSER they are scanned twice, once to
-    # classify them and once more by the sub-parser.  Anything left over,
-    # and anything that does not start with a command, goes through
-    # _PARSER, so that usage errors, help and exit codes are its own.
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args
-    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    global _PARSER, _COMMANDS
-    if _PARSER is None:
-        _PARSER, _COMMANDS = _build_parsers()
-    try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    global _PARSER
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _quick(argv)
+    if args is None:
+        if _PARSER is None:
+            _PARSER = _build_parser()
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
     except InfeasibleError as exc:
@@ -231,6 +183,84 @@ def _cmd_verify(args) -> int:
     for check in checks:
         print(check.line())
     return EXIT_OK if all_pass(checks) else EXIT_INCONSISTENT
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+# command -> (handler, help, {flag: add_argument keywords}) for the commands
+# that take only flags; verify, with its positional suite, is built by hand
+_OPTIONS = {
+    "hurwitz": (_cmd_hurwitz, "compute one connected Hurwitz number", {
+        "--genus": dict(type=int, required=True),
+        "--profile": dict(required=True, help="pole orders, e.g. 2,1,1"),
+        "--engine": dict(choices=("auto", "brute", "frobenius", "cutjoin"), default="auto"),
+        "--format": dict(choices=("value", "record"), default="value"),
+        "--cache": dict(help="append-only cache file"),
+        "--brute-sheets": dict(type=_bound, default=engines.DEFAULT_SHEET_BOUND),
+        "--brute-work": dict(type=_bound, default=engines.DEFAULT_WORK_BOUND),
+        "--kmax": dict(type=_bound, default=engines.DEFAULT_K_BOUND,
+                       help="sheet bound for the character engine"),
+        "--rmax": dict(type=_bound, default=engines.DEFAULT_R_BOUND),
+        "--cutjoin-kmax": dict(type=_bound, default=cutjoin.DEFAULT_TRUNCATION),
+    }),
+    "hodge": (_cmd_hodge, "extract a table of psi/lambda integrals", {
+        "--genus": dict(type=int, required=True),
+        "--points": dict(type=int, required=True, help="number of marked points n"),
+        "--format": dict(choices=("records", "table"), default="records"),
+        "--cache": dict(help="append-only cache file"),
+        "--kmax": dict(type=_bound, default=engines.DEFAULT_K_BOUND),
+        "--rmax": dict(type=_bound, default=engines.DEFAULT_R_BOUND),
+    }),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: hurwitz and hodge from _OPTIONS, verify by hand."""
+    parser = _Parser(prog="hurwitz-hodge", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for command, (handler, text, options) in _OPTIONS.items():
+        command_parser = sub.add_parser(command, help=text)
+        for flag, keywords in options.items():
+            command_parser.add_argument(flag, **keywords)
+        command_parser.set_defaults(func=handler)
+
+    ver = sub.add_parser("verify", help="run one verification suite")
+    ver.add_argument("suite", choices=verify.SUITES)
+    ver.add_argument("--gmax", type=int, default=2, help="genus budget for fp-identity")
+    ver.add_argument("--cache", help="cache file (degll also checks its records)")
+    ver.set_defaults(func=_cmd_verify)
+    return parser
+
+
+def _quick(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace _PARSER would return for a command of _OPTIONS followed
+    by exact ``--flag value`` pairs, each value valid for its flag and not
+    starting with "-" (a repeated flag keeps its last value); None for any
+    other argv, which _PARSER then reads, so that abbreviations,
+    ``--flag=value``, usage errors and help stay argparse's."""
+    if not argv or argv[0] not in _OPTIONS or len(argv) % 2 == 0:
+        return None
+    handler, _, options = _OPTIONS[argv[0]]
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(flag)
+        if keywords is None or text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[flag] = value
+    args = argparse.Namespace(command=argv[0], func=handler)
+    for flag, keywords in options.items():
+        if flag not in values and keywords.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, keywords.get("default")))
+    return args
 
 
 if __name__ == "__main__":

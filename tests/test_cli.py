@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -409,29 +410,29 @@ def test_cache_malformed_field_names_file_and_record(capsys, tmp_path, record, a
 
 
 def test_reused_parser_carries_no_state(capsys, monkeypatch):
+    # the abbreviation, the bad choice, verify and --format=table go through
+    # the full parser, the other argv lists through _quick
     sequence = [
-        ("hurwitz", "--genus", "0", "--profile", "2,2", "--engine", "brute", "--format", "record"),
+        ("hurwitz", "--gen=0", "--profile", "2,2", "--engine", "brute", "--format", "record"),
         # auto answers 7 sheets, which brute force refuses with exit 2
         ("hurwitz", "--genus", "0", "--profile", "7", "--format", "record"),
         ("hurwitz", "--genus", "0", "--profile", "2,1"),
         ("hurwitz", "--genus", "0", "--profile", "3", "--engine", "magic"),
         ("hurwitz", "--genus", "1", "--profile", "2"),
         ("verify", "genus0"),
-        ("hodge", "--genus", "1", "--points", "1", "--format", "table"),
+        ("hodge", "--genus", "1", "--points", "1", "--format=table"),
         ("hodge", "--genus", "1", "--points", "1"),
     ]
     fresh = []
     for argv in sequence:
         monkeypatch.setattr(cli, "_PARSER", None)
-        monkeypatch.setattr(cli, "_COMMANDS", {})
         fresh.append(run_cli(capsys, *argv))
     assert [result[0] for result in fresh] == [0, 0, 0, 1, 0, 0, 0, 0]
     monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "_COMMANDS", {})
     reused = [run_cli(capsys, *sequence[0])]
-    parser, commands = cli._PARSER, cli._COMMANDS
+    parser = cli._PARSER
     reused += [run_cli(capsys, *argv) for argv in sequence[1:]]
-    assert cli._PARSER is parser and cli._COMMANDS is commands
+    assert parser is not None and cli._PARSER is parser
     assert reused == fresh
 
 
@@ -464,20 +465,79 @@ PARSE_CASES = [
     ((*_HDG, "--grid-bound", "0"), 1),
     (("hurwitz", "--profile", "2"), 1),
     (("verify", "nonsense"), 1),
+    (("hurwitz", "--genus", "-1", "--profile", "2"), 1),
+    (("hurwitz", "--genus", "0", "--profile", "-2,1"), 1),
+    (("hurwitz", "--genus", "0", "--profile", ""), 1),
+    ((*_HUR, "--kmax", " 3"), 0),
+    (("hurwitz", "--genus", "1_0", "--profile", "2"), 0),
+    ((*_HUR, "--engine", "brute", "--engine", "magic"), 1),
+    (("hurwitz", "--genus", "0", "--profile"), 1),
+    ((*_HUR, "--format=record"), 0),
 ]
 
 
 def test_command_parser_matches_full_parser(capsys, monkeypatch):
-    # a known command is parsed on its own sub-parser; with the command map
-    # emptied every argv goes through the full parser, and each one must
-    # print and exit the same either way
+    # well-formed hurwitz and hodge argv is read by _quick; with _quick
+    # declining everything every argv goes through the full parser, and
+    # each one must print and exit the same either way
     monkeypatch.setattr(cli, "_PARSER", None)
     direct = [run_cli(capsys, *argv) for argv, _ in PARSE_CASES]
-    assert sorted(cli._COMMANDS) == ["hodge", "hurwitz", "verify"]
-    monkeypatch.setattr(cli, "_COMMANDS", {})
+    monkeypatch.setattr(cli, "_quick", lambda argv: None)
     full = [run_cli(capsys, *argv) for argv, _ in PARSE_CASES]
     assert [result[0] for result in full] == [code for _, code in PARSE_CASES]
     assert direct == full
+
+
+_QUICK_FLAGS = ("--genus", "--profile", "--points", "--engine", "--format", "--cache",
+                "--brute-sheets", "--brute-work", "--kmax", "--rmax", "--cutjoin-kmax",
+                "--gen", "--bogus")
+_QUICK_VALUES = ("0", "1", "3", "-1", "", "  3", "1_0", "\u0663", "+4", "x y", "magic", "2,1",
+                 "-2,1", "-x", "auto", "brute", "cutjoin", "value", "record", "records", "table")
+
+
+def _full_parse(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except SystemExit:
+        return None
+
+
+def test_quick_namespace_matches_full_parser():
+    # _quick may decline any argv, but a namespace it builds must be the one
+    # the full parser returns; the lists mix exact flags with an
+    # abbreviation and an unknown flag, and valid values with dash-leading,
+    # padded, non-ASCII and out-of-choice ones
+    parser = cli._build_parser()
+    rng = random.Random(1)
+    accepted = set()
+    for _ in range(3000):
+        command = rng.choice(("hurwitz", "hodge"))
+        pairs = [(rng.choice(_QUICK_FLAGS), rng.choice(_QUICK_VALUES)) for _ in range(rng.randrange(4))]
+        if rng.random() < 0.8:
+            second = "--profile" if command == "hurwitz" else "--points"
+            pairs += [("--genus", rng.choice(("0", "1", " 2", "+1"))), (second, rng.choice(("1", "2,1")))]
+        rng.shuffle(pairs)
+        argv = [command] + [token for pair in pairs for token in pair]
+        if rng.random() < 0.1:
+            argv.pop()
+        quick = cli._quick(argv)
+        if quick is not None:
+            assert quick == _full_parse(parser, argv), argv
+            accepted.add(command)
+    assert accepted == {"hurwitz", "hodge"}
+    # the forms the benchmark sends: the three batch passes, poles and extract
+    cache = ".bench_build/perfbench/batch-cache.txt"
+    query = ["--genus", "1", "--profile", "1,2,1"]
+    sent = [
+        ["hurwitz", *query, "--engine", "cutjoin", "--cutjoin-kmax", "10", "--cache", cache],
+        ["hurwitz", *query, "--engine", "auto"],
+        ["hurwitz", *query, "--cache", cache],
+        ["hurwitz", "--genus", "0", "--profile", "1,1,3,1", "--kmax", "16"],
+        ["hodge", "--genus", "3", "--points", "3", "--kmax", "40", "--rmax", "60"],
+    ]
+    for argv in sent:
+        quick = cli._quick(argv)
+        assert quick is not None and quick == _full_parse(parser, argv), argv
 
 
 def test_auto_engine_disagreement_exit_3(capsys, monkeypatch):
