@@ -13,6 +13,12 @@ parsed; any other text (the file shrank, was rewritten or was replaced) is
 parsed again from the header.  A last line without a line break is parsed
 on every read and never kept.  Snapshots are replaced, never mutated.
 
+A read is one unbuffered binary read of the whole file, decoded as UTF-8
+with universal newlines (``\\r\\n`` and a lone ``\\r`` become ``\\n``), which
+is the text a text-mode read returns; a file that is not UTF-8 is a
+CacheError naming the path.  Every read still reads every byte and checks
+it against the snapshot, so a rewrite of the same size is seen.
+
 Where ``fcntl`` exists, a read holds a shared ``flock`` on the file while it
 reads, and an append holds an exclusive one from its size probe to the end
 of its write, so a reader never sees part of a record being appended by
@@ -97,11 +103,18 @@ def read_records(path: str) -> list[dict[str, str]]:
     bad schema line and a record lacking a field its kind needs.  The dicts
     are shared with later reads of the same path: do not modify them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # one unbuffered read of the bytes: cheaper than a text-mode read
+        with open(path, "rb", buffering=0) as fh:
             _lock(fh, exclusive=False)
-            text = fh.read()
+            data = fh.readall()
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"cannot read cache file {path}: {exc}") from exc
+    if "\r" in text:  # universal newlines, as a text-mode read translates them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     snap = _SNAPSHOTS.get(path)
     if snap is None or not text.startswith(snap.text):
         header = text.partition("\n")[0]

@@ -234,32 +234,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> (handler, {flag: (attribute, type, choices)}, required flags,
+# {attribute: default}) for _quick, read off _OPTIONS once
+_QUICK = {
+    command: (
+        handler,
+        {flag: (flag[2:].replace("-", "_"), keywords.get("type", str), keywords.get("choices"))
+         for flag, keywords in options.items()},
+        frozenset(flag for flag, keywords in options.items() if keywords.get("required")),
+        {flag[2:].replace("-", "_"): keywords.get("default") for flag, keywords in options.items()},
+    )
+    for command, (handler, _, options) in _OPTIONS.items()
+}
+
+
 def _quick(argv: list[str]) -> argparse.Namespace | None:
     """The namespace _PARSER would return for a command of _OPTIONS followed
     by exact ``--flag value`` pairs, each value valid for its flag and not
     starting with "-" (a repeated flag keeps its last value); None for any
     other argv, which _PARSER then reads, so that abbreviations,
     ``--flag=value``, usage errors and help stay argparse's."""
-    if not argv or argv[0] not in _OPTIONS or len(argv) % 2 == 0:
+    if not argv or argv[0] not in _QUICK or len(argv) % 2 == 0:
         return None
-    handler, _, options = _OPTIONS[argv[0]]
-    values = {}
-    for flag, text in zip(argv[1::2], argv[2::2]):
-        keywords = options.get(flag)
-        if keywords is None or text.startswith("-"):
+    handler, flags, required, defaults = _QUICK[argv[0]]
+    values = defaults.copy()
+    given = argv[1::2]
+    for flag, text in zip(given, argv[2::2]):
+        spec = flags.get(flag)
+        if spec is None or text.startswith("-"):
             return None
+        name, kind, choices = spec
         try:
-            value = keywords.get("type", str)(text)
+            value = kind(text)
         except (TypeError, ValueError, argparse.ArgumentTypeError):
             return None
-        if value not in keywords.get("choices", (value,)):
+        if choices is not None and value not in choices:
             return None
-        values[flag] = value
+        values[name] = value
+    if not required.issubset(given):
+        return None
     args = argparse.Namespace(command=argv[0], func=handler)
-    for flag, keywords in options.items():
-        if flag not in values and keywords.get("required"):
-            return None
-        setattr(args, flag[2:].replace("-", "_"), values.get(flag, keywords.get("default")))
+    vars(args).update(values)
     return args
 
 

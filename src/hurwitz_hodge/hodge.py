@@ -123,13 +123,15 @@ def degree_LL(g: int, profile, h) -> int:
     """
     profile = check_profile(profile)
     engines.ramification_count(g, profile)  # validates the genus
-    value = Fraction(_exact(h, "h")) * aut_count(profile) * prod(profile)
-    if value.denominator != 1 or value < 0:
+    h = _exact(h, "h")  # an int has numerator and denominator too
+    scaled = h.numerator * aut_count(profile) * prod(profile)
+    degree, rest = divmod(scaled, h.denominator)
+    if rest or degree < 0:
         raise ConsistencyError(
-            f"deg LL = {value} for genus {g}, profile {profile} is not a nonnegative "
-            "integer; the supplied Hurwitz number cannot be correct"
+            f"deg LL = {Fraction(scaled, h.denominator)} for genus {g}, profile {profile} "
+            "is not a nonnegative integer; the supplied Hurwitz number cannot be correct"
         )
-    return int(value)
+    return degree
 
 
 def normalized_value(g: int, profile, hurwitz=None) -> Fraction:

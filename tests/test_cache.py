@@ -168,6 +168,84 @@ def test_incremental_reads_match_fresh_reads(tmp_path):
     assert seen == set(ops)
 
 
+_BREAKS = ("\n", "\r\n", "\r")
+
+
+def _decorated_line(rng):
+    # now and then an é, or a U+0085 (whitespace to str.split) for a space
+    line = _random_line(rng)
+    roll = rng.random()
+    if roll < 0.1:
+        return line.replace("engine=", "engine=é", 1)
+    if roll < 0.2:
+        return line.replace(" ", "\x85", 1)
+    return line
+
+
+def _random_chunk(rng):
+    """Bytes of record lines, each ending in \\n, \\r\\n or a lone \\r; now
+    and then a last line with no break or with a lone \\r, a BOM, or a byte
+    that is not UTF-8."""
+    text = "".join(_decorated_line(rng) + rng.choice(_BREAKS) for _ in range(rng.randint(0, 3)))
+    roll = rng.random()
+    if roll < 0.15:
+        text += _decorated_line(rng)[: rng.randint(1, 60)] + "\r"
+    elif roll < 0.25:
+        text += _decorated_line(rng)[: rng.randint(1, 60)]
+    elif roll < 0.3:
+        text += "\ufeff"
+    data = text.encode("utf-8")
+    if rng.random() < 0.02:
+        data += rng.choice((b"\xff", b"\x85"))
+    return data
+
+
+def test_binary_read_matches_text_mode(tmp_path):
+    # the oracle holds the text a text-mode read returns (universal
+    # newlines), written back with \n only; a read of the raw bytes must
+    # give the same records, hits and errors, also when the file grows in
+    # place and a \r and its \n arrive in different writes
+    rng = random.Random(20261019)
+    path = tmp_path / "cache.txt"
+    counts = {"grown": 0, "records-with-cr": 0, "not-utf8": 0}
+    rewrite = True
+    for step in range(400):
+        if rewrite or rng.random() < 0.4:
+            header = ("\ufeff" if rng.random() < 0.05 else "") + SCHEMA_LINE + rng.choice(_BREAKS)
+            path.write_bytes(header.encode("utf-8") + _random_chunk(rng))
+        else:
+            with path.open("ab") as fh:
+                fh.write(_random_chunk(rng))
+            counts["grown"] += 1
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            with pytest.raises(CacheError) as info:
+                read_records(str(path))
+            assert str(info.value).startswith(f"cannot read cache file {path}: 'utf-8' codec can't decode")
+            counts["not-utf8"] += 1
+            rewrite = True
+            continue
+        oracle = tmp_path / f"oracle-{step}.txt"
+        oracle.write_bytes(text.encode("utf-8"))
+        expected = _outcome(read_records, str(oracle))
+        assert _outcome(read_records, str(path)) == expected, (step, path.read_bytes())
+        assert _outcome(find, str(path), _WANTED) == _outcome(find, str(oracle), _WANTED), step
+        if expected and isinstance(expected, list) and b"\r" in path.read_bytes():
+            counts["records-with-cr"] += 1
+        rewrite = False
+    assert counts["grown"] > 100 and counts["records-with-cr"] > 100 and counts["not-utf8"] > 2, counts
+
+
+def test_non_utf8_file_rejected_naming_path(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_bytes(SCHEMA_LINE.encode() + b"\nkind=hurwitz g=0 mu=2 engine=brute value=1/2\xff\n")
+    with pytest.raises(CacheError) as info:
+        read_records(str(path))
+    assert str(info.value) == (f"cannot read cache file {path}: 'utf-8' codec can't decode byte 0xff "
+                               "in position 73: invalid start byte")
+
+
 def test_appended_malformed_line_reports_fresh_line_number(tmp_path):
     path = tmp_path / "cache.txt"
     append_records(str(path), [{"kind": "hurwitz", "g": "0", "mu": "3", "engine": "brute", "value": "1"}])

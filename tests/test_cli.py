@@ -540,6 +540,34 @@ def test_quick_namespace_matches_full_parser():
         assert quick is not None and quick == _full_parse(parser, argv), argv
 
 
+def test_quick_namespaces_share_no_state():
+    # each call starts from the defaults again: a namespace changed by its
+    # caller leaves the next one as the full parser would build it
+    argv = ["hurwitz", "--genus", "1", "--profile", "2,1", "--cache", "c.txt"]
+    first = cli._quick(argv)
+    first.kmax = 99
+    second = cli._quick(argv)
+    assert second is not first and second.kmax == engines.DEFAULT_K_BOUND
+    assert vars(second) == vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hurwitz", "--genus", "0", "--profile", "2"),
+        ("hodge", "--genus", "0", "--points", "3"),
+        ("verify", "degll"),
+    ],
+)
+def test_cache_not_utf8_exit_1_naming_path(capsys, tmp_path, argv):
+    cache = tmp_path / "cache.txt"
+    cache.write_bytes(b"schema=hurwitz-hodge-cache/1\nkind=hurwitz g=0 mu=2 engine=brute value=1/2\xff\n")
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot read cache file {cache}: 'utf-8' codec can't decode byte 0xff "
+                   "in position 73: invalid start byte\n")
+
+
 def test_auto_engine_disagreement_exit_3(capsys, monkeypatch):
     from fractions import Fraction
 

@@ -163,10 +163,19 @@ def test_degree_ll_examples():
 
 
 def test_degree_ll_rejects_non_integer():
-    with pytest.raises(ConsistencyError):
-        degree_LL(0, (3,), F(1, 7))
-    with pytest.raises(ConsistencyError):
-        degree_LL(0, (3,), F(-1))
+    for h, shown in ((F(1, 7), "3/7"), (F(-1), "-3"), (-2, "-6"), (F(3, 2), "9/2")):
+        with pytest.raises(ConsistencyError) as info:
+            degree_LL(0, (3,), h)
+        assert str(info.value) == (f"deg LL = {shown} for genus 0, profile (3,) is not a nonnegative "
+                                   "integer; the supplied Hurwitz number cannot be correct")
+
+
+def test_degree_ll_takes_an_int():
+    for h in (4, F(4)):
+        degree = degree_LL(0, (1, 1, 1), h)
+        assert degree == 24 and type(degree) is int
+    assert degree_LL(1, (2,), 1) == 2
+    assert degree_LL(0, (3,), 0) == 0
 
 
 def test_degree_ll_integrality_sweep():
