@@ -7,10 +7,14 @@ length m moves one particle from an occupied b to an empty b + m, with
 sign (-1)^(number of particles jumped over); this is the fermionic picture
 of Okounkov, "Toda equations for Hurwitz numbers" (2000).  The Schur
 expansion of the power sum p_mu is built bottom up, one strip per part of
-mu, and memoized by (descending class suffix, particle count); a character
-value is a lookup of the shape's mask in its class's expansion, and a
-dimension is Frobenius' formula on the shape's beta-set.  The memoized
-expansions are never mutated once built, and all arithmetic is integer.
+mu, and memoized by the descending class suffix alone: the expansion of a
+suffix nu uses |nu| particles, so a strip of length m first adds m
+particles below the previous ones (mask << m | (1 << m) - 1) and then
+moves one particle up by m.  Every class ending in nu shares its expansion,
+whatever its size.  A character value is a lookup of the shape's mask in
+its class's expansion, and a dimension is Frobenius' formula on the
+shape's beta-set.  The memoized expansions are never mutated once built,
+and all arithmetic is integer.
 
 Conjugation (transposing the shape, lam -> lam') keeps the dimension,
 negates the content sum and multiplies the character by the sign of the
@@ -54,7 +58,7 @@ def character_value(lam, mu) -> int:
     k = sum(lam)
     if k != sum(mu):
         raise ValueError(f"shape {lam} and class {mu} must partition the same integer")
-    return _expansion(mu, k).get(_maya(lam, k), 0)
+    return _expansion(mu).get(_maya(lam, k), 0)
 
 
 def _maya(lam: tuple[int, ...], particles: int) -> int:
@@ -66,18 +70,21 @@ def _maya(lam: tuple[int, ...], particles: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _expansion(mu: tuple[int, ...], particles: int) -> dict[int, int]:
+def _expansion(mu: tuple[int, ...]) -> dict[int, int]:
     """Nonzero coefficients chi^lam(mu) of p_mu = sum_lam chi^lam(mu) s_lam,
-    keyed by the Maya diagram of lam with ``particles`` particles.
+    keyed by the Maya diagram of lam with sum(mu) particles.
 
     mu is a descending class suffix: its smallest parts are added first,
     so classes that share their tail share the memoized expansion of it.
     """
     if not mu:
-        return {(1 << particles) - 1: 1}
+        return {0: 1}
     strip = mu[0]
+    fill = (1 << strip) - 1
     out: dict[int, int] = {}
-    for mask, coef in _expansion(mu[1:], particles).items():
+    for below, coef in _expansion(mu[1:]).items():
+        # the same shapes with strip more (empty) rows
+        mask = below << strip | fill
         rest = mask
         while rest:
             low = rest & -rest

@@ -32,11 +32,14 @@ nonnegative integer for every input.  Three independent engines:
   Both layers count pole-labeled tuples, #Aut(mu) times the plain tuple
   count, in integers: the power sum over the row, checked divisible by
   z(mu), divided by prod(mu) (disconnected), and k! * #Aut(mu) * h
-  (connected).  Poles of equal order give equal terms, so the
-  inclusion-exclusion runs over sub-multisets of the other poles,
-  weighted by the number prod C(m_v, c_v) of labeled subsets each one
-  stands for.  Only the public functions divide into ``Fraction``, by
-  k! * #Aut(mu);
+  (connected).  Each class keeps both counts in rows keyed by r, one
+  entry written per r asked for, and its list of splits, built once.
+  Poles of equal order give equal terms, so the inclusion-exclusion runs
+  over sub-multisets of the other poles, weighted by the number
+  prod C(m_v, c_v) of labeled subsets each one stands for; a split reads
+  the block's connected row and the rest's disconnected row, and stops
+  where the rest has fewer transpositions than it needs.  Only the
+  public functions divide into ``Fraction``, by k! * #Aut(mu);
 * the cut-and-join layer recursion lives in :mod:`hurwitz_hodge.cutjoin`.
 """
 
@@ -256,23 +259,56 @@ def _class_row(mu: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
     return z_order(mu), pairs
 
 
-@lru_cache(maxsize=None)
-def _disconnected(mu: tuple[int, ...], r: int) -> int:
+class _ClassCounts:
+    """The counts of one class mu, each memoized by r and stored once, with
+    its final value: ``disconnected`` (see ``_disconnected``) and
+    ``connected`` (see ``_connected``).  ``splits`` lists the (block, rest)
+    pairs the inclusion-exclusion runs over, built on the first connected
+    count asked for."""
+
+    __slots__ = ("mu", "disconnected", "connected", "splits")
+
+    def __init__(self, mu: tuple[int, ...]):
+        self.mu = mu
+        self.disconnected: dict[int, int] = {}
+        self.connected: dict[int, int] = {}
+        self.splits: tuple | None = None
+
+
+# one record per class (descending mu), shared by every split that names it
+_CLASSES: dict[tuple[int, ...], _ClassCounts] = {}
+
+
+def _class_counts(mu: tuple[int, ...]) -> _ClassCounts:
+    counts = _CLASSES.get(mu)
+    if counts is None:
+        counts = _CLASSES.setdefault(mu, _ClassCounts(mu))
+    return counts
+
+
+def _disconnected(counts: _ClassCounts, r: int) -> int:
     """#Aut(mu) times the number of length-r transposition tuples whose
     product has cycle type mu (cycles labeled by poles): the class row's
     power sum of weight * c^r, checked divisible by z(mu), over prod(mu)."""
+    value = counts.disconnected.get(r)
+    if value is not None:
+        return value
+    mu = counts.mu
     k, n = sum(mu), len(mu)
     if (r - (k - n)) % 2:
         # a product of r transpositions has sign (-1)^r, the class has sign
         # (-1)^(k-n); on mismatch the count is identically zero
-        return 0
-    z, pairs = _class_row(mu)
-    total = sum(weight * content ** r for content, weight in pairs)
-    if total % z:
-        raise ConsistencyError(
-            f"character sum {total} for class {mu} and r={r} is not divisible by z={z}"
-        )
-    return total // prod(mu)
+        value = 0
+    else:
+        z, pairs = _class_row(mu)
+        total = sum(weight * content ** r for content, weight in pairs)
+        if total % z:
+            raise ConsistencyError(
+                f"character sum {total} for class {mu} and r={r} is not divisible by z={z}"
+            )
+        value = total // prod(mu)
+    counts.disconnected[r] = value
+    return value
 
 
 def _check_bounds(k: int, r: int, k_bound: int, r_bound: int) -> None:
@@ -301,26 +337,25 @@ def frobenius_disconnected(
         raise ValueError(f"transposition count must be a nonnegative integer, got {r!r}")
     k = sum(mu)
     _check_bounds(k, r, k_bound, r_bound)
-    return Fraction(_disconnected(mu, r), factorial(k) * aut_count(mu))
+    return Fraction(_disconnected(_class_counts(mu), r), factorial(k) * aut_count(mu))
 
 
-@lru_cache(maxsize=None)
-def _labeled_connected(mu: tuple[int, ...], r: int) -> int:
-    """k! * #Aut(mu) times the connected Hurwitz number for class mu
-    realized with r transpositions, an integer.  r must fit a genus, that
-    is r = k + n + 2g - 2 for some g >= 0: connected_hurwitz passes
-    ramification_count, and the recursion below steps through such r only."""
+def _splits(mu: tuple[int, ...]) -> tuple[tuple[int, _ClassCounts, _ClassCounts, int, int], ...]:
+    """(weight, block, rest, least r of the block, least r of the rest) for
+    each way the inclusion-exclusion splits off the component of pole 1.
+
+    Every component of a covering carries at least one pole, so the
+    pole-labeled disconnected count splits over the proper pole subsets
+    sharing a component with pole 1, with a binomial choice of which sheets
+    that component covers.  Subsets taking the same number c_v of the m_v
+    other poles of each order v (adjacent in the sorted mu) give the same
+    (block, rest) pair, so each sub-multiset is listed once with weight
+    prod C(m_v, c_v) * C(k, |block|); taking every pole leaves no rest.  A
+    class nu needs at least |nu| - len(nu) transpositions, and a connected
+    one |nu| + len(nu) - 2."""
     k = sum(mu)
-    total = _disconnected(mu, r)
-    # Every component of a covering carries at least one pole, so the
-    # pole-labeled disconnected count splits over the proper pole subsets
-    # sharing a component with pole 1, with a binomial choice of which
-    # transposition slots act on that component and of which sheets it
-    # covers.  Solve for the connected term.  Subsets taking the same number
-    # c_v of the m_v other poles of each order v (adjacent in the sorted mu)
-    # give the same (block, rest) pair, so each sub-multiset is visited once
-    # with weight prod C(m_v, c_v); taking every pole leaves no rest.
     orders = [(v, len(list(run))) for v, run in groupby(mu[1:])]
+    splits = []
     for counts in product(*(range(m + 1) for _, m in orders)):
         weight = 1
         block = [mu[0]]
@@ -331,16 +366,40 @@ def _labeled_connected(mu: tuple[int, ...], r: int) -> int:
             rest += [v] * (m - c)
         if not rest:
             continue
-        block_mu = tuple(block)
-        rest_mu = tuple(rest)
-        weight *= comb(k, sum(block_mu))
-        for r_block in range(sum(block_mu) + len(block_mu) - 2, r + 1, 2):
-            h_block = _labeled_connected(block_mu, r_block)
+        weight *= comb(k, sum(block))
+        splits.append((weight, _class_counts(tuple(block)), _class_counts(tuple(rest)),
+                       sum(block) + len(block) - 2, sum(rest) - len(rest)))
+    return tuple(splits)
+
+
+def _connected(counts: _ClassCounts, r: int) -> int:
+    """k! * #Aut(mu) times the connected Hurwitz number for class mu
+    realized with r transpositions, an integer.  r must fit a genus, that
+    is r = k + n + 2g - 2 for some g >= 0: connected_hurwitz passes
+    ramification_count, and the recursion below steps through such r only.
+
+    The disconnected count minus, over the splits, the terms in which pole
+    1's component takes r_block of the r transpositions (a binomial choice
+    of slots) and the rest the others.  r_block stops where the rest would
+    get fewer transpositions than it needs, whose count is 0."""
+    total = _disconnected(counts, r)
+    splits = counts.splits
+    if splits is None:
+        splits = counts.splits = _splits(counts.mu)
+    for weight, block, rest, block_low, rest_low in splits:
+        block_row, rest_row = block.connected, rest.disconnected
+        for r_block in range(block_low, r - rest_low + 1, 2):
+            h_block = block_row.get(r_block)
+            if h_block is None:
+                h_block = _connected(block, r_block)
             if not h_block:
                 continue
-            h_rest = _disconnected(rest_mu, r - r_block)
+            h_rest = rest_row.get(r - r_block)
+            if h_rest is None:
+                h_rest = _disconnected(rest, r - r_block)
             if h_rest:
                 total -= weight * comb(r, r_block) * h_block * h_rest
+    counts.connected[r] = total
     return total
 
 
@@ -359,7 +418,12 @@ def connected_hurwitz(
     k = sum(profile)
     _check_bounds(k, r, k_bound, r_bound)
     mu = tuple(sorted(profile, reverse=True))
-    return Fraction(_labeled_connected(mu, r), factorial(k) * aut_count(mu))
+    # a warm call reads two dicts, no dearer than an lru_cache hit
+    counts = _CLASSES.get(mu) or _class_counts(mu)
+    labeled = counts.connected.get(r)
+    if labeled is None:
+        labeled = _connected(counts, r)
+    return Fraction(labeled, factorial(k) * aut_count(mu))
 
 
 def genus_zero_closed_form(profile) -> Fraction:

@@ -2,8 +2,9 @@ import importlib.util
 import sys
 import threading
 from fractions import Fraction
-from itertools import permutations, product
-from math import factorial
+from functools import lru_cache
+from itertools import groupby, permutations, product
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from hurwitz_hodge.engines import (
     ramification_count,
 )
 from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
-from hurwitz_hodge.partitions import partitions_of
+from hurwitz_hodge.partitions import aut_count, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -308,43 +309,119 @@ def test_brute_force_six_sheets_matches_frobenius(mu):
 
 def _clear_character_engine():
     characters._expansion.cache_clear()
-    for table in (engines._char_data, engines._class_row, engines._disconnected,
-                  engines._labeled_connected):
+    for table in (engines._char_data, engines._class_row):
         table.cache_clear()
+    engines._CLASSES.clear()
+
+
+def _poles_workload():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.POLES
 
 
 def test_indivisible_character_sum_is_refused(monkeypatch):
     # a class row whose power sum z(mu) does not divide is an engine fault,
     # named with the class, r and z; the fake record keeps z((2,)) = 2, and
     # the cleared memo tables keep no value of its row
-    engines._disconnected.cache_clear()
+    engines._CLASSES.clear()
     monkeypatch.setattr(engines, "_class_row", lambda mu: (2, ((1, 1),)))
     try:
         with pytest.raises(ConsistencyError,
                            match=r"^character sum 1 for class \(2,\) and r=1 is not divisible by z=2$"):
             frobenius_disconnected((2,), 1)
     finally:
-        engines._disconnected.cache_clear()
+        engines._CLASSES.clear()
 
 
 def test_poles_queries_count_aut_and_z_once_per_class(monkeypatch):
     # both layers count pole-labeled tuples: on the benchmark's poles
     # queries z(mu) is computed once per class row built and #Aut(mu) once
     # per public call, never inside the recursion
-    spec = importlib.util.spec_from_file_location(
-        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    poles = _poles_workload()
     _clear_character_engine()
     calls = []
     for name in ("aut_count", "z_order"):
         original = getattr(engines, name)
         monkeypatch.setattr(engines, name,
                             lambda mu, original=original: calls.append(mu) or original(mu))
-    for g, profile in workloads.POLES:
+    for g, profile in poles:
         connected_hurwitz(g, profile, k_bound=16)
     rows = engines._class_row.cache_info().misses
-    assert rows and len(calls) <= rows + len(workloads.POLES), (len(calls), rows)
+    assert rows and len(calls) <= rows + len(poles), (len(calls), rows)
+
+
+@lru_cache(maxsize=None)
+def _oracle_connected(mu, r):
+    # the inclusion-exclusion memoized per (mu, r), every r_block running
+    # up to r: k! * #Aut(mu) times the connected Hurwitz number
+    k = sum(mu)
+    total = _labeled_disconnected(mu, r)
+    orders = [(v, len(list(run))) for v, run in groupby(mu[1:])]
+    for counts in product(*(range(m + 1) for _, m in orders)):
+        weight = 1
+        block = [mu[0]]
+        rest = []
+        for c, (v, m) in zip(counts, orders):
+            weight *= comb(m, c)
+            block += [v] * c
+            rest += [v] * (m - c)
+        if not rest:
+            continue
+        block_mu = tuple(block)
+        rest_mu = tuple(rest)
+        weight *= comb(k, sum(block_mu))
+        for r_block in range(sum(block_mu) + len(block_mu) - 2, r + 1, 2):
+            h_block = _oracle_connected(block_mu, r_block)
+            if not h_block:
+                continue
+            h_rest = _labeled_disconnected(rest_mu, r - r_block)
+            if h_rest:
+                total -= weight * comb(r, r_block) * h_block * h_rest
+    return total
+
+
+def _labeled_disconnected(mu, r):
+    value = frobenius_disconnected(mu, r, k_bound=16) * factorial(sum(mu)) * aut_count(mu)
+    assert value.denominator == 1
+    return int(value)
+
+
+def test_connected_matches_full_inclusion_exclusion():
+    # the engine stops each r_block loop where the rest runs out of
+    # transpositions and reads per-class rows; the oracle runs every
+    # r_block up to r
+    queries = [(g, mu) for k in range(1, 10) for mu in partitions_of(k) for g in range(4)]
+    for g, profile in [*queries, *_poles_workload()]:
+        mu = tuple(sorted(profile, reverse=True))
+        expected = Fraction(_oracle_connected(mu, ramification_count(g, mu)),
+                            factorial(sum(mu)) * aut_count(mu))
+        assert connected_hurwitz(g, profile, k_bound=16) == expected, (g, profile)
+    assert connected_hurwitz(0, (1,) * 16, k_bound=16) == genus_zero_closed_form((1,) * 16)
+
+
+def test_expansions_and_counts_are_shared():
+    # an expansion is keyed by its class suffix alone, so 1^12 is the one
+    # inside 1^13, and (2, 1^11) adds one strip to it
+    _clear_character_engine()
+    expansions = characters._expansion.cache_info
+    engines._class_row((1,) * 13)
+    assert expansions().currsize == 14
+    engines._class_row((1,) * 12)
+    assert expansions().currsize == 14
+    engines._class_row((2,) + (1,) * 11)
+    assert expansions().currsize == 15
+
+    def entries():
+        return sum(len(c.disconnected) + len(c.connected) for c in engines._CLASSES.values())
+
+    profile = (2, 2) + (1,) * 8
+    value = connected_hurwitz(1, profile, k_bound=12)
+    built = entries()
+    assert built and connected_hurwitz(1, profile, k_bound=12) == value
+    assert entries() == built
 
 
 def test_character_engine_tables_are_thread_safe():
