@@ -68,8 +68,9 @@ def _key(record: dict[str, str]) -> tuple[str, ...]:
     return (kind, *(record[field] for field in _REQUIRED.get(kind, ())))
 
 
-def _parse(lines, start: int) -> list[dict[str, str]]:
-    """The records of ``lines``, the first of which is line ``start``."""
+def _parse(path: str, lines, start: int) -> list[dict[str, str]]:
+    """The records of ``lines``, line ``start`` on, of the cache file ``path``."""
+    where = f"cache file {path}: "
     records = []
     for num, line in enumerate(lines, start=start):
         if not line.strip():
@@ -78,15 +79,16 @@ def _parse(lines, start: int) -> list[dict[str, str]]:
         for token in line.split():
             field, eq, value = token.partition("=")
             if not eq:
-                raise CacheError(f"malformed cache record on line {num}: {line!r}")
+                raise CacheError(f"{where}malformed cache record on line {num}: {line!r}")
             if field in record:
-                raise CacheError(f"malformed cache record on line {num}: {field} given twice: {line!r}")
+                raise CacheError(f"{where}malformed cache record on line {num}: "
+                                 f"{field} given twice: {line!r}")
             record[field] = value
         if "kind" not in record or "value" not in record:
-            raise CacheError(f"cache record on line {num} lacks kind/value: {line!r}")
+            raise CacheError(f"{where}cache record on line {num} lacks kind/value: {line!r}")
         for field in _REQUIRED.get(record["kind"], ()):
             if field not in record:
-                raise CacheError(f"{record['kind']} record on line {num} lacks {field}: {line!r}")
+                raise CacheError(f"{where}{record['kind']} record on line {num} lacks {field}: {line!r}")
         records.append(record)
     return records
 
@@ -100,8 +102,8 @@ def _lock(fh, exclusive: bool) -> None:
 
 def read_records(path: str) -> list[dict[str, str]]:
     """All records of a cache file as dicts; rejects an unreadable file, a
-    bad schema line and a record lacking a field its kind needs.  The dicts
-    are shared with later reads of the same path: do not modify them."""
+    bad schema line and a record lacking a field its kind needs.  The list
+    and its dicts are shared with later reads: do not modify them."""
     try:
         # one unbuffered read of the bytes: cheaper than a text-mode read
         with open(path, "rb", buffering=0) as fh:
@@ -120,14 +122,15 @@ def read_records(path: str) -> list[dict[str, str]]:
         header = text.partition("\n")[0]
         if header != SCHEMA_LINE:
             found = header if text else "<empty>"
-            raise CacheError(f"unsupported cache schema: expected {SCHEMA_LINE!r}, found {found!r}")
+            raise CacheError(f"cache file {path}: unsupported cache schema: "
+                             f"expected {SCHEMA_LINE!r}, found {found!r}")
         if text == SCHEMA_LINE:
             return []
         snap = _HEADER_ONLY
     end = text.rfind("\n") + 1
     if end > len(snap.text):
         lines = text[len(snap.text):end - 1].split("\n")
-        new = _parse(lines, snap.lines + 1)
+        new = _parse(path, lines, snap.lines + 1)
         first = dict(snap.first)
         for record in new:
             first.setdefault(_key(record), record)
@@ -135,8 +138,8 @@ def read_records(path: str) -> list[dict[str, str]]:
     with _SNAPSHOT_LOCK:
         _SNAPSHOTS[path] = snap
     if end < len(text):
-        return snap.records + _parse([text[end:]], snap.lines + 1)
-    return list(snap.records)
+        return snap.records + _parse(path, [text[end:]], snap.lines + 1)
+    return snap.records
 
 
 def find(path: str, records) -> list[dict[str, str] | None]:
@@ -151,15 +154,15 @@ def find(path: str, records) -> list[dict[str, str] | None]:
     # read_records sees it
     found = read_records(path)
     snap = _SNAPSHOTS.get(path)
-    first: dict = {}
-    # the snapshot's index holds only if its records begin this read (list
-    # == compares identical dicts by identity, so the check is cheap)
-    if snap is not None and found[:len(snap.records)] == snap.records:
-        first, found = snap.first, found[len(snap.records):]
-    rest: dict = {}
-    for record in found:
-        rest.setdefault(_key(record), record)
-    return [first[key] if key in first else rest.get(key) for key in map(_key, records)]
+    # the snapshot's index holds only if this read returned the snapshot's
+    # own list; a read that ends in an unterminated line is indexed whole
+    if snap is not None and found is snap.records:
+        first = snap.first
+    else:
+        first = {}
+        for record in found:
+            first.setdefault(_key(record), record)
+    return [first.get(key) for key in map(_key, records)]
 
 
 def parse_field(path: str, record: dict[str, str], field: str, parse):

@@ -49,20 +49,12 @@ def _bound(text: str) -> int:
     return value
 
 
-# built on the first call to main that _quick declines, and reused: parsing
-# leaves no state on the parser, and building it costs more than most commands
-_PARSER: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _PARSER
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _quick(argv)
     if args is None:
-        if _PARSER is None:
-            _PARSER = _build_parser()
         try:
-            args = _PARSER.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
@@ -189,8 +181,8 @@ def _cmd_verify(args) -> int:
 # argument parsing
 
 
-# command -> (handler, help, {flag: add_argument keywords}) for the commands
-# that take only flags; verify, with its positional suite, is built by hand
+# command -> (handler, help, {argument: add_argument keywords}); a key
+# without a leading "-" is a positional, and the positionals come first
 _OPTIONS = {
     "hurwitz": (_cmd_hurwitz, "compute one connected Hurwitz number", {
         "--genus": dict(type=int, required=True),
@@ -213,53 +205,62 @@ _OPTIONS = {
         "--kmax": dict(type=_bound, default=engines.DEFAULT_K_BOUND),
         "--rmax": dict(type=_bound, default=engines.DEFAULT_R_BOUND),
     }),
+    "verify": (_cmd_verify, "run one verification suite", {
+        "suite": dict(choices=verify.SUITES),
+        "--gmax": dict(type=int, default=2, help="genus budget for fp-identity"),
+        "--cache": dict(help="cache file (degll also checks its records)"),
+    }),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The full parser: hurwitz and hodge from _OPTIONS, verify by hand."""
+    """The full parser, one sub-parser per command of _OPTIONS."""
     parser = _Parser(prog="hurwitz-hodge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for command, (handler, text, options) in _OPTIONS.items():
         command_parser = sub.add_parser(command, help=text)
-        for flag, keywords in options.items():
-            command_parser.add_argument(flag, **keywords)
+        for name, keywords in options.items():
+            command_parser.add_argument(name, **keywords)
         command_parser.set_defaults(func=handler)
-
-    ver = sub.add_parser("verify", help="run one verification suite")
-    ver.add_argument("suite", choices=verify.SUITES)
-    ver.add_argument("--gmax", type=int, default=2, help="genus budget for fp-identity")
-    ver.add_argument("--cache", help="cache file (degll also checks its records)")
-    ver.set_defaults(func=_cmd_verify)
     return parser
 
 
-# command -> (handler, {flag: (attribute, type, choices)}, required flags,
-# {attribute: default}) for _quick, read off _OPTIONS once
+# command -> (handler, ((positional, choices), ...), {flag: (attribute, type,
+# choices)}, required flags, {attribute: default}) for _quick, from _OPTIONS
 _QUICK = {
     command: (
         handler,
+        tuple((name, keywords["choices"]) for name, keywords in options.items() if name[0] != "-"),
         {flag: (flag[2:].replace("-", "_"), keywords.get("type", str), keywords.get("choices"))
-         for flag, keywords in options.items()},
+         for flag, keywords in options.items() if flag[0] == "-"},
         frozenset(flag for flag, keywords in options.items() if keywords.get("required")),
-        {flag[2:].replace("-", "_"): keywords.get("default") for flag, keywords in options.items()},
+        {name.lstrip("-").replace("-", "_"): keywords.get("default") for name, keywords in options.items()},
     )
     for command, (handler, _, options) in _OPTIONS.items()
 }
 
 
 def _quick(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace _PARSER would return for a command of _OPTIONS followed
-    by exact ``--flag value`` pairs, each value valid for its flag and not
-    starting with "-" (a repeated flag keeps its last value); None for any
-    other argv, which _PARSER then reads, so that abbreviations,
-    ``--flag=value``, usage errors and help stay argparse's."""
-    if not argv or argv[0] not in _QUICK or len(argv) % 2 == 0:
+    """The namespace the full parser would return for a command of _OPTIONS
+    followed by one of the choices of each of its positionals, then exact
+    ``--flag value`` pairs, each value valid for its flag and not starting
+    with "-" (a repeated flag keeps its last value); None for any other
+    argv, which the full parser then reads, so that abbreviations,
+    ``--flag=value``, ``--``, usage errors and help stay argparse's."""
+    if not argv or argv[0] not in _QUICK:
         return None
-    handler, flags, required, defaults = _QUICK[argv[0]]
+    handler, positionals, flags, required, defaults = _QUICK[argv[0]]
+    start = len(positionals) + 1
+    if len(argv) < start or (len(argv) - start) % 2:
+        return None
     values = defaults.copy()
-    given = argv[1::2]
-    for flag, text in zip(given, argv[2::2]):
+    if positionals:
+        for (name, choices), text in zip(positionals, argv[1:start]):
+            if text not in choices:
+                return None
+            values[name] = text
+    given = argv[start::2]
+    for flag, text in zip(given, argv[start + 1::2]):
         spec = flags.get(flag)
         if spec is None or text.startswith("-"):
             return None

@@ -85,6 +85,40 @@ def test_record_lacking_field_rejected(tmp_path, record, missing):
         read_records(str(path))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("schema=hurwitz-hodge-cache/2\n",
+         "unsupported cache schema: expected 'schema=hurwitz-hodge-cache/1', "
+         "found 'schema=hurwitz-hodge-cache/2'"),
+        (f"{SCHEMA_LINE}\nnot a record\n", "malformed cache record on line 2: 'not a record'"),
+        (f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=3 g=5 value=1\n",
+         "malformed cache record on line 2: g given twice: 'kind=hurwitz g=0 mu=3 g=5 value=1'"),
+        (f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=3 value=1\nkind=hurw",
+         "cache record on line 3 lacks kind/value: 'kind=hurw'"),
+        (f"{SCHEMA_LINE}\nkind=hodge g=1 n=1 b=1 value=1/24\n",
+         "hodge record on line 2 lacks j: 'kind=hodge g=1 n=1 b=1 value=1/24'"),
+    ],
+    ids=["schema", "malformed", "given-twice", "lacks-kind-value", "lacks-field"],
+)
+def test_record_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "cache.txt"
+    path.write_text(text)
+    with pytest.raises(CacheError) as info:
+        read_records(str(path))
+    assert str(info.value) == f"cache file {path}: {message}"
+
+
+def test_unchanged_file_reads_return_the_same_list(tmp_path):
+    # an unchanged file is neither copied nor indexed again
+    path = str(tmp_path / "cache.txt")
+    append_records(path, [{"kind": "hurwitz", "g": "0", "mu": "3", "engine": "brute", "value": "1"}])
+    first = read_records(path)
+    assert read_records(path) is first
+    hit = find(path, [{"kind": "hurwitz", "g": "0", "mu": "3"}])[0]
+    assert hit is first[0] and read_records(path) is first
+
+
 # the fields each kind is looked up by, written out here so the first-match
 # scan below does not share code with the cache module
 _KEY_FIELDS = {"hurwitz": ("g", "mu"), "hodge": ("g", "n", "b", "j")}
@@ -98,11 +132,14 @@ def _first_match(records, wanted):
     return next((record for record in records if _key_of(record) == _key_of(wanted)), None)
 
 
-def _outcome(call, *args):
+def _outcome(call, path, *args):
+    # an error names the file; with its name made generic, reads of two
+    # files holding the same text give the same outcome
     try:
-        return call(*args)
+        return call(path, *args)
     except CacheError as exc:
-        return str(exc)
+        assert path in str(exc)
+        return str(exc).replace(path, "PATH")
 
 
 def _random_line(rng):
@@ -261,7 +298,7 @@ def test_appended_malformed_line_reports_fresh_line_number(tmp_path):
         read_records(str(path))
     with pytest.raises(CacheError) as direct:
         read_records(str(fresh))
-    assert str(incremental.value) == str(direct.value)
+    assert str(incremental.value) == str(direct.value).replace(str(fresh), str(path))
     # the same for a last line with no line break
     path.write_text(path.read_text().replace("not a record\n", "\nnot a"))
     for _ in range(2):

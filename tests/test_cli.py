@@ -381,6 +381,14 @@ def test_cache_record_lacking_field_exit_1(capsys, tmp_path):
     assert cache.read_text() == "schema=hurwitz-hodge-cache/1\nkind=hurwitz value=1\n"
 
 
+def test_bad_unterminated_last_record_names_file(capsys, tmp_path):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("schema=hurwitz-hodge-cache/1\nkind=hurwitz g=0 mu=2 engine=brute value=1/2\nkind=hurw")
+    code, out, err = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "3", "--cache", str(cache))
+    assert (code, out) == (1, "")
+    assert err == f"error: cache file {cache}: cache record on line 3 lacks kind/value: 'kind=hurw'\n"
+
+
 @pytest.mark.parametrize(
     "record, argv, field",
     [
@@ -409,9 +417,24 @@ def test_cache_malformed_field_names_file_and_record(capsys, tmp_path, record, a
     assert f"bad {field} in cache file {cache}, record {record!r}" in err
 
 
-def test_reused_parser_carries_no_state(capsys, monkeypatch):
-    # the abbreviation, the bad choice, verify and --format=table go through
-    # the full parser, the other argv lists through _quick
+def test_well_formed_verify_builds_no_parser(capsys, monkeypatch):
+    # verify is read from the option table like hurwitz and hodge, also
+    # when its suite then fails or its cache is missing
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse reached")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", refuse)
+    assert run_cli(capsys, "verify", "genus0")[0] == 0
+    assert run_cli(capsys, "verify", "fp-identity", "--gmax", "1")[0] == 0
+    assert run_cli(capsys, "verify", "fp-identity", "--gmax", "0")[0] == 1
+    code, out, err = run_cli(capsys, "verify", "degll", "--cache", "no-such-cache.txt")
+    assert (code, out, err) == (1, "", "error: no cache file at no-such-cache.txt\n")
+
+
+def test_each_declined_argv_builds_its_own_parser(capsys, monkeypatch):
+    # the abbreviation, the bad choice, verify with "--" and --format=table
+    # go through the full parser, the other argv lists through _quick
     sequence = [
         ("hurwitz", "--gen=0", "--profile", "2,2", "--engine", "brute", "--format", "record"),
         # auto answers 7 sheets, which brute force refuses with exit 2
@@ -419,21 +442,22 @@ def test_reused_parser_carries_no_state(capsys, monkeypatch):
         ("hurwitz", "--genus", "0", "--profile", "2,1"),
         ("hurwitz", "--genus", "0", "--profile", "3", "--engine", "magic"),
         ("hurwitz", "--genus", "1", "--profile", "2"),
+        ("verify", "--", "genus0"),
         ("verify", "genus0"),
         ("hodge", "--genus", "1", "--points", "1", "--format=table"),
         ("hodge", "--genus", "1", "--points", "1"),
     ]
-    fresh = []
-    for argv in sequence:
-        monkeypatch.setattr(cli, "_PARSER", None)
-        fresh.append(run_cli(capsys, *argv))
-    assert [result[0] for result in fresh] == [0, 0, 0, 1, 0, 0, 0, 0]
-    monkeypatch.setattr(cli, "_PARSER", None)
-    reused = [run_cli(capsys, *sequence[0])]
-    parser = cli._PARSER
-    reused += [run_cli(capsys, *argv) for argv in sequence[1:]]
-    assert parser is not None and cli._PARSER is parser
-    assert reused == fresh
+    built = []
+    original = cli._build_parser
+
+    def counting():
+        built.append(original())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    codes = [run_cli(capsys, *argv)[0] for argv in sequence]
+    assert codes == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert len(built) == 4 and len(set(map(id, built))) == 4
 
 
 _HUR = ("hurwitz", "--genus", "0", "--profile", "2,1")
@@ -446,6 +470,24 @@ PARSE_CASES = [
     ((*_HDG, "--format", "table"), 0),
     (("verify", "genus0", "--gmax", "1"), 0),
     (("verify", "--", "genus0"), 0),
+    (("verify", "fp-identity", "--gmax", "1", "--gmax", "2"), 0),
+    (("verify", "--gmax", "1", "genus0"), 0),
+    (("verify", "genus0", "--gmax", "-1"), 0),
+    (("verify", "genus0", "--gmax", " 3"), 0),
+    (("verify", "genus0", "--gmax", "1_0"), 0),
+    (("verify", "genus0", "--gm", "1"), 0),
+    (("verify", "genus0", "--gmax=1"), 0),
+    (("verify", "genus0", "-h"), 0),
+    (("verify", "fp-identity", "--gmax", "0"), 1),
+    (("verify", "genus0", "--gmax", "x"), 1),
+    (("verify", "genus0", "--gmax"), 1),
+    (("verify",), 1),
+    (("verify", "genus0", "extra"), 1),
+    (("verify", "genus0", "genus0"), 1),
+    (("verify", "Genus0"), 1),
+    (("verify", "degll", "--cache", "no-such-cache.txt"), 1),
+    (("verify", "degll", "--cache", "-x"), 1),
+    (("verify", "genus0", "--"), 0),
     (("-h",), 0),
     (("--he",), 0),
     (("hurwitz", "-h"), 0),
@@ -477,10 +519,9 @@ PARSE_CASES = [
 
 
 def test_command_parser_matches_full_parser(capsys, monkeypatch):
-    # well-formed hurwitz and hodge argv is read by _quick; with _quick
-    # declining everything every argv goes through the full parser, and
-    # each one must print and exit the same either way
-    monkeypatch.setattr(cli, "_PARSER", None)
+    # well-formed hurwitz, hodge and verify argv is read by _quick; with
+    # _quick declining everything every argv goes through the full parser,
+    # and each one must print and exit the same either way
     direct = [run_cli(capsys, *argv) for argv, _ in PARSE_CASES]
     monkeypatch.setattr(cli, "_quick", lambda argv: None)
     full = [run_cli(capsys, *argv) for argv, _ in PARSE_CASES]
@@ -493,6 +534,10 @@ _QUICK_FLAGS = ("--genus", "--profile", "--points", "--engine", "--format", "--c
                 "--gen", "--bogus")
 _QUICK_VALUES = ("0", "1", "3", "-1", "", "  3", "1_0", "\u0663", "+4", "x y", "magic", "2,1",
                  "-2,1", "-x", "auto", "brute", "cutjoin", "value", "record", "records", "table")
+
+
+_VERIFY_FLAGS = ("--gmax", "--cache", "--gm", "--bogus")
+_VERIFY_VALUES = ("1", "6", "-1", " 3", "1_0", "x", "c.txt", "genus0", "-x", "--")
 
 
 def _full_parse(parser, argv):
@@ -525,6 +570,26 @@ def test_quick_namespace_matches_full_parser():
             assert quick == _full_parse(parser, argv), argv
             accepted.add(command)
     assert accepted == {"hurwitz", "hodge"}
+    # verify: a suite (or an unknown one) with --gmax and --cache pairs, now
+    # and then a flag before the suite, a "--" or a dropped last token
+    rng = random.Random(2)
+    suites = set()
+    for _ in range(2000):
+        tokens = [rng.choice((*verify.SUITES, "nonsense"))]
+        for _ in range(rng.randrange(3)):
+            tokens += [rng.choice(_VERIFY_FLAGS), rng.choice(_VERIFY_VALUES)]
+        if rng.random() < 0.2:
+            tokens.insert(rng.randrange(len(tokens) + 1), "--")
+        if rng.random() < 0.2:
+            tokens = tokens[1:3] + tokens[:1] + tokens[3:]
+        argv = ["verify", *tokens]
+        if rng.random() < 0.1:
+            argv.pop()
+        quick = cli._quick(argv)
+        if quick is not None:
+            assert quick == _full_parse(parser, argv), argv
+            suites.add(quick.suite)
+    assert suites == set(verify.SUITES)
     # the forms the benchmark sends: the three batch passes, poles and extract
     cache = ".bench_build/perfbench/batch-cache.txt"
     query = ["--genus", "1", "--profile", "1,2,1"]
@@ -534,6 +599,7 @@ def test_quick_namespace_matches_full_parser():
         ["hurwitz", *query, "--cache", cache],
         ["hurwitz", "--genus", "0", "--profile", "1,1,3,1", "--kmax", "16"],
         ["hodge", "--genus", "3", "--points", "3", "--kmax", "40", "--rmax", "60"],
+        ["verify", "fp-identity", "--gmax", "6"],
     ]
     for argv in sent:
         quick = cli._quick(argv)

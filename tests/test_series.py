@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitz_hodge import series
 from hurwitz_hodge.hodge import extract_hodge_integrals
 from hurwitz_hodge.report import all_pass
 from hurwitz_hodge.series import (
@@ -81,14 +82,16 @@ def test_genus_below_one_rejected():
 
 
 def test_identity_g1():
-    checks = verify_faber_pandharipande(1, (1, 2, 3))
+    checks = verify_faber_pandharipande(1)
     assert all_pass(checks)
-    assert [c.actual for c in checks] == ["1/12", "1/8", "1/6"]
+    assert [c.key for c in checks] == [f"g=1/k={k}" for k in (1, 2, 3, 4, 5)]
+    assert [c.actual for c in checks] == ["1/12", "1/8", "1/6", "5/24", "1/4"]
 
 
 def test_identity_g2_closed_forms():
-    checks = verify_faber_pandharipande(2, (1, 2, 3, 4, 5))
+    checks = verify_faber_pandharipande(2)
     assert all_pass(checks)
+    assert len(checks) == 10
     for check in checks:
         g = int(check.key.split("/")[0].split("=")[1])
         k = int(check.key.split("/")[1].split("=")[1])
@@ -98,9 +101,10 @@ def test_identity_g2_closed_forms():
             assert Fraction(check.actual) == F((k + 1) * (5 * k + 7), 5760)
 
 
-def test_identity_reports_mismatch_loudly():
+def test_identity_reports_mismatch_loudly(monkeypatch):
     # a corrupted table must yield fail records, not silence
     table = extract_hodge_integrals(1, 1)
     table.values[(1, 1, (1,), 0)] += 1
-    checks = verify_faber_pandharipande(1, (1, 2), tables={1: table})
-    assert [c.status for c in checks] == ["fail", "fail"]
+    monkeypatch.setattr(series, "extract_hodge_integrals", lambda g, n: table)
+    checks = verify_faber_pandharipande(1)
+    assert [c.status for c in checks] == ["fail"] * 5
