@@ -154,15 +154,19 @@ def find(path: str, records) -> list[dict[str, str] | None]:
     # read_records sees it
     found = read_records(path)
     snap = _SNAPSHOTS.get(path)
-    # the snapshot's index holds only if this read returned the snapshot's
-    # own list; a read that ends in an unterminated line is indexed whole
-    if snap is not None and found is snap.records:
+    # The snapshot's index holds for the records this read shares with it:
+    # all of them, or all but an unterminated last line.  A record object
+    # belongs to one chain of snapshots, at one position, so its last
+    # record standing at the same place in this read proves the prefix.
+    shared = len(snap.records) if snap is not None else 0
+    if shared and len(found) >= shared and found[shared - 1] is snap.records[-1]:
         first = snap.first
     else:
-        first = {}
-        for record in found:
-            first.setdefault(_key(record), record)
-    return [first.get(key) for key in map(_key, records)]
+        first, shared = {}, 0
+    rest: dict = {}  # the first record wins, so rest only answers what first lacks
+    for record in found[shared:]:
+        rest.setdefault(_key(record), record)
+    return [first.get(key, rest.get(key)) for key in map(_key, records)]
 
 
 def parse_field(path: str, record: dict[str, str], field: str, parse):

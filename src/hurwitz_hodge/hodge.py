@@ -26,7 +26,10 @@ polynomial):
   variable.  The result is the coefficients c_beta in the basis m_beta,
   beta ascending of total at most L.  Both passes store one entry per
   pair of ascending index tuples and stay in integers, scaled by the
-  values' common denominator and by L!/a! per axis.
+  values' common denominator and by L!/a! per axis.  Which entries each
+  sum reads depends only on n, L and the shape of the weights, so it is
+  worked out once into a plan of integer positions, and a pass over a kept
+  plan only multiplies and adds.
 * Reduce.  x^e = sum_t S(e+1, t+1) (x - 1)...(x - t), with S the Stirling
   numbers of the second kind, and on the sample every product of these
   falling factorials of total order above L vanishes.  So each key m_b
@@ -142,8 +145,17 @@ def normalized_value(g: int, profile, hurwitz=None) -> Fraction:
     """
     profile = check_profile(profile)
     _require_stable(g, len(profile))
-    h = (hurwitz or engines.connected_hurwitz)(g, profile)
-    return Fraction(_exact(h, "a Hurwitz number")) / prefactor(g, profile)
+    return _normalized(g, profile, (hurwitz or engines.connected_hurwitz)(g, profile))
+
+
+def _normalized(g: int, profile: tuple, h) -> Fraction:
+    """h / prefactor(g, profile) as one quotient,
+    h * #Aut * prod_i k_i! / (d! * prod_i k_i^{k_i}), for a stable (g,
+    profile) already checked."""
+    h = _exact(h, "a Hurwitz number")  # an int has numerator and denominator too
+    d = engines.ramification_count(g, profile)
+    return Fraction(h.numerator * aut_count(profile) * prod(map(factorial, profile)),
+                    h.denominator * factorial(d) * prod(k ** k for k in profile))
 
 
 def hodge_keys(g: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -292,33 +304,60 @@ def _falling_to_powers(level: int, scaled: bool) -> tuple:
     )
 
 
-def _axis_pass(stage: dict, n: int, level: int, weights) -> dict:
-    """Apply one triangular per-axis map along each of the n axes in turn.
-    weights[a] = (start, w) makes new index a the sum of w[i] times old
-    index start + i.
+@lru_cache(maxsize=32)
+def _sweep_plan(n: int, level: int, windows: tuple) -> tuple:
+    """The index work of _axis_pass, which depends only on n, L and the
+    windows (start, len(w)) of its weights: one (weight, bounds, sources)
+    triple of flat integer tuples per axis.  Entry e of an axis's output
+    is the sum of weights[weight[e]] times the previous axis's entries at
+    the positions sources[bounds[e]:bounds[e + 1]]; the input of the first
+    axis and the output of the last are indexed like _simplex(n, L).
 
-    ``stage`` maps each ascending point y of _simplex(n, level) to a tuple
-    of integers (one per column), and the result maps each ascending new
-    index tuple to one.  The map of new index a reads old indices at most
-    level minus the rest of the point, all of which the simplex holds.
     After m axes the partial result is symmetric in its m new indices and
-    in its n - m old ones, so it is stored once per pair of ascending
-    tuples (head, tail), never as the full tensor.
+    in its n - m old ones, so it holds one entry per pair of ascending
+    tuples (head, tail), never the full tensor.  New index a reads old
+    indices at most L minus the rest of the point, all of which the
+    simplex holds.
     """
-    stage = {((), y): value for y, value in stage.items()}
+    position = {((), y): i for i, y in enumerate(_simplex(n, level))}
+    plan = []
     for m in range(1, n + 1):
         nxt = {}
+        weight, bounds, sources = [], [0], []
         for tail in _simplex(n - m, level):
             room = level - sum(tail)
             merged = [tuple(sorted(tail + (y,))) for y in range(room + 1)]
             for head in _simplex(m, room):
                 rest, a = head[:-1], head[-1]
-                start, w = weights[a]
-                stop = min(start + len(w), room - (sum(head) - a) + 1)
-                sources = [stage[rest, point] for point in merged[start:stop]]
-                nxt[head, tail] = tuple(sum(map(mul, w, column)) for column in zip(*sources))
-        stage = nxt
-    return {head: value for (head, _), value in stage.items()}
+                start, width = windows[a]
+                stop = min(start + width, room - (sum(head) - a) + 1)
+                nxt[head, tail] = len(nxt)
+                weight.append(a)
+                sources.extend(position[rest, point] for point in merged[start:stop])
+                bounds.append(len(sources))
+        plan.append((tuple(weight), tuple(bounds), tuple(sources)))
+        position = nxt
+    return tuple(plan)
+
+
+def _axis_pass(columns, n: int, level: int, weights) -> list[list[int]]:
+    """Apply one triangular per-axis map along each of the n axes in turn,
+    to each of ``columns``: lists of integers indexed like _simplex(n,
+    level), and so is each result.  weights[a] = (start, w) makes new
+    index a the sum of w[i] times old index start + i; the index work is
+    _sweep_plan's, so a pass only multiplies and adds."""
+    if not columns:
+        return []
+    plan = _sweep_plan(n, level, tuple((start, len(w)) for start, w in weights))
+    ws = [w for _, w in weights]
+    result = []
+    for column in columns:
+        for weight, bounds, sources in plan:
+            get = column.__getitem__
+            column = [sum(map(mul, ws[a], map(get, sources[lo:hi])))
+                      for a, lo, hi in zip(weight, bounds, bounds[1:])]
+        result.append(column)
+    return result
 
 
 def interpolate(values: dict, n: int, level: int) -> tuple[dict, int]:
@@ -334,11 +373,12 @@ def interpolate(values: dict, n: int, level: int) -> tuple[dict, int]:
     L!/a! per axis, so D is that denominator times L!^n.
     """
     scale = lcm(*(v.denominator for v in values.values()))
-    stage = {tuple(x - 1 for x in point): (v.numerator * (scale // v.denominator),)
-             for point, v in values.items()}
-    stage = _axis_pass(stage, n, level, _differences(level))
-    stage = _axis_pass(stage, n, level, _falling_to_powers(level, True))
-    return {beta: value for beta, (value,) in stage.items()}, scale * factorial(level) ** n
+    basis = _simplex(n, level)
+    column = [values[tuple(y + 1 for y in alpha)] for alpha in basis]
+    column = [v.numerator * (scale // v.denominator) for v in column]
+    [column] = _axis_pass([column], n, level, _differences(level))
+    [column] = _axis_pass([column], n, level, _falling_to_powers(level, True))
+    return dict(zip(basis, column)), scale * factorial(level) ** n
 
 
 class _Reduced(NamedTuple):
@@ -367,13 +407,12 @@ def _reduced_system(g: int, n: int, level: int) -> _Reduced:
         return stirling[e][t] if t <= e else 0
 
     dense = tuple(i for i, (_, b) in enumerate(keys) if sum(b) > level)
+    basis = _simplex(n, level)
     memo: dict = {}
-    newton = {
-        alpha: tuple((-1) ** keys[i][0] * _monomial_sum(keys[i][1], alpha, memo, power)
-                     for i in dense)
-        for alpha in _simplex(n, level)
-    }
-    rows = _axis_pass(newton, n, level, _falling_to_powers(level, False))
+    newton = [[(-1) ** keys[i][0] * _monomial_sum(keys[i][1], alpha, memo, power)
+               for alpha in basis] for i in dense]
+    columns = _axis_pass(newton, n, level, _falling_to_powers(level, False))
+    rows = {beta: tuple(column[e] for column in columns) for e, beta in enumerate(basis)}
     unit = tuple((i, rows[b]) for i, (_, b) in enumerate(keys) if sum(b) <= level)
     held = {keys[i][1] for i, _ in unit}
     free = tuple(beta for beta in rows if beta not in held)
@@ -509,7 +548,7 @@ def extract_hodge_integrals(
     level = minimal_grid_bound(g, n)
     system = _reduced_system(g, n, level)
     points = [tuple(y + 1 for y in alpha) for alpha in _simplex(n, level)]
-    values = {point: normalized_value(g, point, hurwitz) for point in points}
+    values = {point: _normalized(g, point, hurwitz(g, point)) for point in points}
     numerators, scale = interpolate(values, n, level)
     rhs = [numerators[beta] for beta in system.free]
     dense, det = solve_exact(system.block, rhs)

@@ -332,6 +332,28 @@ def test_find_first_record_wins_and_missing_file_is_empty(tmp_path):
     assert find(path, [dict(wanted, mu="3")])[0]["value"] == "4"
 
 
+def test_unterminated_last_line_is_indexed_alone(tmp_path, monkeypatch):
+    # a lookup in a file whose last line lacks a line break keys that line
+    # and the wanted records, not every record again; the first record
+    # under a key still wins over the unterminated one
+    path = tmp_path / "cache.txt"
+    lines = [f"kind=hurwitz g=0 mu={k} engine=brute value={k}" for k in range(1, 2001)]
+    path.write_text(SCHEMA_LINE + "\n" + "\n".join(lines) + "\n"
+                    + "kind=hurwitz g=0 mu=7 engine=brute value=0\n"
+                    + "kind=hurwitz g=1 mu=7 engine=brute value=8")
+    wanted = [{"kind": "hurwitz", "g": "0", "mu": "7"}, {"kind": "hurwitz", "g": "1", "mu": "7"},
+              {"kind": "hurwitz", "g": "2", "mu": "7"}]
+    expected = [{"kind": "hurwitz", "g": "0", "mu": "7", "engine": "brute", "value": "7"},
+                {"kind": "hurwitz", "g": "1", "mu": "7", "engine": "brute", "value": "8"}, None]
+    assert find(str(path), wanted) == expected
+    keyed = []
+    original = cache._key
+    monkeypatch.setattr(cache, "_key", lambda record: keyed.append(record) or original(record))
+    for _ in range(3):
+        assert find(str(path), wanted) == expected
+    assert len(keyed) == 3 * (len(wanted) + 1)
+
+
 def test_concurrent_reads_see_prefixes(tmp_path):
     path = str(tmp_path / "cache.txt")
     records = [{"kind": "hurwitz", "g": "0", "mu": str(k), "engine": "brute", "value": str(k)}

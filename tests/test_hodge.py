@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial, lcm, prod
@@ -7,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from hurwitz_hodge import engines, hodge
+from hurwitz_hodge import characters, engines, hodge
 from hurwitz_hodge.engines import connected_hurwitz, genus_zero_closed_form
 from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
 from hurwitz_hodge.hodge import (
@@ -557,6 +559,57 @@ def test_warm_extraction_ranks_no_block(monkeypatch):
         minimal_grid_bound(1.0, 8)
 
 
+def test_warm_extraction_builds_no_sweep_plan():
+    # the sweep plans are kept, so a second extraction of the benchmark's
+    # (3, 3) table builds none and its sweeps only multiply and add
+    first = extract_hodge_integrals(3, 3, k_bound=40, r_bound=60)
+    misses = hodge._sweep_plan.cache_info().misses
+    assert extract_hodge_integrals(3, 3, k_bound=40, r_bound=60).values == first.values
+    assert hodge._sweep_plan.cache_info().misses == misses
+
+
+def _clear_extraction_memos():
+    for table in (hodge._simplex, hodge._stirling_rows, hodge._differences,
+                  hodge._falling_to_powers, hodge._sweep_plan, hodge._reduced_system,
+                  hodge.minimal_grid_bound, characters._expansion, engines._char_data,
+                  engines._class_row):
+        table.cache_clear()
+    engines._CLASSES.clear()
+
+
+def test_threaded_extractions_match_a_single_threaded_run():
+    # six threads extracting from empty memo tables (plans, reduced
+    # systems, levels, class rows and counts) get the single-threaded tables
+    moduli = [(2, 1), (3, 2), (2, 3), (1, 4), (0, 5), (3, 1)]
+
+    def extract_all(order):
+        tables = {gn: extract_hodge_integrals(*gn, k_bound=40, r_bound=60) for gn in order}
+        return {gn: (t.values, t.grid_bound, t.surplus_rows) for gn, t in sorted(tables.items())}
+
+    _clear_extraction_memos()
+    single = extract_all(moduli)
+    _clear_extraction_memos()
+    start = threading.Barrier(6)
+    results = []
+
+    def work(t):
+        start.wait()
+        results.append(extract_all(moduli[t:] + moduli[:t]))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [single] * 6
+
+
 def _interpolated(values, n, level):
     """hodge.interpolate's integer numerators over D as Fractions, after
     checking that D is the values' common denominator times L!^n."""
@@ -596,6 +649,46 @@ def test_dense_columns_interpolate_their_keys(g, n):
         interpolant = _interpolated({p: F(_monomial_sum(b, p)) for p in _sample(n, level)}, n, level)
         assert {beta: row[c] for beta, row in rows.items()} == {
             beta: (-1) ** j * value for beta, value in interpolant.items()}, (g, n, b, j)
+
+
+def _tuple_keyed_sweep(stage, n, level, weights):
+    """Oracle for hodge._axis_pass: the same per-axis maps, with every index
+    worked out on each call.  ``stage`` maps each point y of _simplex(n, L)
+    to a tuple of integers, and the result maps each new index tuple to
+    one; after m axes an entry is keyed by its ascending new indices (head)
+    and ascending old ones (tail)."""
+    stage = {((), y): value for y, value in stage.items()}
+    for m in range(1, n + 1):
+        nxt = {}
+        for tail in hodge._simplex(n - m, level):
+            room = level - sum(tail)
+            merged = [tuple(sorted(tail + (y,))) for y in range(room + 1)]
+            for head in hodge._simplex(m, room):
+                rest, a = head[:-1], head[-1]
+                start, w = weights[a]
+                stop = min(start + len(w), room - (sum(head) - a) + 1)
+                sources = [stage[rest, point] for point in merged[start:stop]]
+                nxt[head, tail] = tuple(sum(map(mul, w, column)) for column in zip(*sources))
+        stage = nxt
+    return {head: value for (head, _), value in stage.items()}
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_axis_pass_matches_tuple_keyed_sweep(n):
+    # the planned sweep gives the oracle's entries, in _simplex order, for
+    # 0, 1 and 3 columns under the difference and both falling weights
+    rng = random.Random(n)
+    for level in range(9):
+        basis = hodge._simplex(n, level)
+        for weights in (hodge._differences(level), hodge._falling_to_powers(level, True),
+                        hodge._falling_to_powers(level, False)):
+            for width in (0, 1, 3):
+                columns = [[rng.randrange(-10 ** 6, 10 ** 6) for _ in basis] for _ in range(width)]
+                stage = {y: tuple(column[e] for column in columns) for e, y in enumerate(basis)}
+                expected = _tuple_keyed_sweep(stage, n, level, weights)
+                assert sorted(expected) == list(basis)
+                assert hodge._axis_pass(columns, n, level, weights) == [
+                    [expected[y][c] for y in basis] for c in range(width)], (n, level, width)
 
 
 def test_simplex_lists_the_monomial_basis_in_order():
