@@ -51,9 +51,10 @@ This is an invertible row transform of the system "one equation per
 sample point", so rank and solution are those of that system.  The
 extraction checks every row of the block against the pivot rows'
 solution in integers, so the #points - #keys surplus rows are all
-residual-checked exactly, and any nonzero residual names a sample profile
-at which the solved polynomial and the counts disagree: an engine or sign
-error fails loudly instead of giving a wrong table.
+residual-checked exactly, and any nonzero residual names the first sample
+profile where the stored table, evaluated by hurwitz_from_hodge, misses
+the count: an engine or sign error fails loudly instead of giving a wrong
+table.
 
 The alternating sign (-1)^j is forced by h_{1;1} = 0: with all-plus signs
 the one-pole genus-1 prediction would be 1/6.  ``hurwitz_from_hodge`` keeps
@@ -103,11 +104,9 @@ def _exact(value, name: str):
 
 def prefactor(g: int, profile) -> Fraction:
     """The combinatorial factor d!/#Aut * prod_i k_i^{k_i}/k_i! relating the
-    covering count to the normalized polynomial P; as k^k/k! is
-    k^k/(k - 1)! over k, that is d!/(#Aut * prod_i k_i) * weight_w."""
-    profile = check_profile(profile)
-    d = engines.ramification_count(g, profile)
-    return Fraction(factorial(d), aut_count(profile) * prod(profile)) * weight_w(profile)
+    covering count to the normalized polynomial P: the inverse of the one
+    quotient _normalized(g, profile, 1)."""
+    return 1 / _normalized(g, check_profile(profile), 1)
 
 
 def weight_w(profile) -> Fraction:
@@ -149,9 +148,9 @@ def normalized_value(g: int, profile, hurwitz=None) -> Fraction:
 
 
 def _normalized(g: int, profile: tuple, h) -> Fraction:
-    """h / prefactor(g, profile) as one quotient,
-    h * #Aut * prod_i k_i! / (d! * prod_i k_i^{k_i}), for a stable (g,
-    profile) already checked."""
+    """h / prefactor(g, profile) as the one quotient both use,
+    h * #Aut * prod_i k_i! / (d! * prod_i k_i^{k_i}), for a profile
+    already checked (ramification_count checks the genus)."""
     h = _exact(h, "a Hurwitz number")  # an int has numerator and denominator too
     d = engines.ramification_count(g, profile)
     return Fraction(h.numerator * aut_count(profile) * prod(map(factorial, profile)),
@@ -224,6 +223,8 @@ class HodgeTable:
         self.surplus_rows: dict[tuple[int, int], int] = {}
 
     def set(self, g: int, n: int, b, j: int, value) -> None:
+        """Check and store one value from outside the extraction (a library
+        caller, a ``hodge --cache`` hit); the extraction writes ``values``."""
         b = tuple(sorted(b))
         _require_stable(g, n)
         if len(b) != n or any(not isinstance(e, int) or e < 0 for e in b):
@@ -524,10 +525,10 @@ def extract_hodge_integrals(
     One equation per point of the level-L sample with L =
     ``minimal_grid_bound(g, n)``, solved by interpolation and the dense
     block (see the module docstring).  Every surplus row must have zero
-    residual (ConsistencyError otherwise, naming a sample profile where
-    the solved polynomial misses the count).  ``hurwitz`` is an optional
-    callable (g, profile) -> Fraction replacing the default connected
-    engine.
+    residual (ConsistencyError otherwise, naming the first sample profile
+    where the table's forward evaluation misses the count).  ``hurwitz``
+    is an optional callable (g, profile) -> Fraction replacing the default
+    connected engine.
     """
     _require_stable(g, n)
     if hurwitz is None:
@@ -553,23 +554,19 @@ def extract_hodge_integrals(
     rhs = [numerators[beta] for beta in system.free]
     dense, det = solve_exact(system.block, rhs)
     solution = _back_substitute(system, numerators, dense, det)
-    denominator = det * scale
+    table = HodgeTable()
+    for (j, b), value in zip(system.keys, solution):
+        table.values[(g, n, b, j)] = Fraction(value, det * scale)
     if any(sum(map(mul, row, dense)) != det * b for row, b in zip(system.block, rhs)):
         # Some sample profile must miss, since the reduction is invertible.
-        memo: dict = {}
         profile, residual = next(
             (point, r) for point in points
-            if (r := Fraction(sum((-1) ** j * x * _monomial_sum(b, point, memo)
-                                  for (j, b), x in zip(system.keys, solution)), denominator)
-                - values[point])
+            if (r := _normalized(g, point, hurwitz_from_hodge(g, point, table)) - values[point])
         )
         raise ConsistencyError(
             f"nonzero residual extracting (g={g}, n={n}) integrals at profile"
             f" {profile}: {residual}"
         )
-    table = HodgeTable()
-    for (j, b), value in zip(system.keys, solution):
-        table.set(g, n, b, j, Fraction(value, denominator))
     table.grid_bound[(g, n)] = level
     table.surplus_rows[(g, n)] = len(points) - len(system.keys)
     return table

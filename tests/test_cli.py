@@ -173,6 +173,23 @@ def test_hodge_cache_appends_only_missed_keys(capsys, tmp_path):
     assert len(cache.read_text().splitlines()) == 4
 
 
+def test_hodge_cache_hit_checks_each_value_through_set(capsys, tmp_path, monkeypatch):
+    # a full hit builds its table from the file's values, so every value
+    # goes through HodgeTable.set's checks, once per key
+    argv = ("hodge", "--genus", "1", "--points", "2", "--cache", str(tmp_path / "cache.txt"))
+    miss = run_cli(capsys, *argv)
+    stored = []
+    original = hodge.HodgeTable.set
+
+    def recording(table, g, n, b, j, value):
+        stored.append((g, n, b, j))
+        original(table, g, n, b, j, value)
+
+    monkeypatch.setattr(hodge.HodgeTable, "set", recording)
+    assert run_cli(capsys, *argv) == miss and miss[0] == 0
+    assert sorted(stored) == sorted((1, 2, b, j) for j, b in hodge.hodge_keys(1, 2))
+
+
 def test_hodge_cache_first_record_of_a_key_wins(capsys, tmp_path):
     cache = tmp_path / "cache.txt"
     cache.write_text(

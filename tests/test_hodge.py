@@ -146,7 +146,7 @@ def test_weight_examples():
 
 
 def test_prefactor_matches_per_pole_product():
-    # prefactor goes through weight_w; the oracle multiplies d!/#Aut by
+    # prefactor inverts the quotient _normalized; the oracle multiplies d!/#Aut by
     # k^k/k! pole by pole, on every ordered profile with k <= 8
     for k in range(1, 9):
         for profile in {p for lam in partitions_of(k) for p in permutations(lam)}:
@@ -566,6 +566,21 @@ def test_warm_extraction_builds_no_sweep_plan():
     misses = hodge._sweep_plan.cache_info().misses
     assert extract_hodge_integrals(3, 3, k_bound=40, r_bound=60).values == first.values
     assert hodge._sweep_plan.cache_info().misses == misses
+
+
+def test_extraction_stores_its_keys_without_set(monkeypatch):
+    # the extraction listed its keys itself, so it writes them straight
+    # into the table; HodgeTable.set checks values from elsewhere
+    expected = extract_hodge_integrals(3, 3, k_bound=40, r_bound=60)
+
+    def refuse(*args):
+        raise AssertionError(f"HodgeTable.set{args[1:]} called by the extraction")
+
+    monkeypatch.setattr(HodgeTable, "set", refuse)
+    table = extract_hodge_integrals(3, 3, k_bound=40, r_bound=60)
+    assert table.values == expected.values and len(table) == 37
+    assert all(type(value) is F for value in table.values.values())
+    assert (table.grid_bound, table.surplus_rows) == (expected.grid_bound, expected.surplus_rows)
 
 
 def _clear_extraction_memos():
