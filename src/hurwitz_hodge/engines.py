@@ -53,7 +53,7 @@ from math import comb, factorial, prod
 
 from .characters import _content_sum, _dimension, character_value
 from .errors import ConsistencyError, InfeasibleError
-from .partitions import aut_count, check_profile, partition_counts, partitions_of, z_order
+from .partitions import aut_count, check_profile, partitions_of, z_order
 
 DEFAULT_SHEET_BOUND = 5
 DEFAULT_WORK_BOUND = 10 ** 8
@@ -75,38 +75,38 @@ def ramification_count(g: int, profile) -> int:
 # of (partial product, connectivity) states under relabelling the sheets
 
 
-def _state_bound(k: int) -> int:
-    """Number of (permutation, set partition) pairs on k sheets whose
-    partition is coarser than the permutation's cycles, the sum over set
-    partitions of prod |block|! (1, 3, 13, 73, 501, ...): an upper bound
-    on the orbits of such pairs that one brute-force step visits (27 of
-    them at k = 5)."""
-    before, count = 1, 1
-    for n in range(2, k + 1):
-        before, count = count, (2 * n - 1) * count - (n - 1) * (n - 2) * before
-    return count
+@lru_cache(maxsize=None)
+def _orbit_counts(t: int) -> tuple[int, int, int, int]:
+    """(p(t), a(t), s(t), c(t)): a(t) orbits of brute force on t sheets, the
+    multisets of partitions of total t (OEIS A001970).  The Euler transform
+    t x(t) = sum_j w(j) x(t - j) gives p from s(j) = sum of the d | j and a
+    from c(j) = sum of d p(d) over the d | j, reading lower terms in order."""
+    if t == 0:
+        return 1, 1, 0, 0
+    below = [_orbit_counts(j) for j in range(t)]
+    divisors = [d for d in range(1, t) if t % d == 0]
+    s = t + sum(divisors)
+    p = (s + sum(below[j][2] * below[t - j][0] for j in range(1, t))) // t
+    c = t * p + sum(d * below[d][0] for d in divisors)
+    a = (c + sum(below[j][3] * below[t - j][1] for j in range(1, t))) // t
+    return p, a, s, c
 
 
 def _brute_work(k: int, r: int, bound: int | None = None) -> int:
     """Work estimate for r brute-force steps on k sheets, in units of about
-    0.1 us (measured with CPython 3.11 on one Xeon core).  It counts
-    states, not orbits: C(k,2) transpositions and one summary pass on each
-    of ``_state_bound(k)`` states, about 12 units per visit plus one unit
-    per 2048 bits of the counts, which stay below C(k,2)^r.  Each step also
-    keeps one summary of at most p(k) counts (p(k) is counted, not listed),
-    charged 1000 units plus one per byte kept.  The engine steps orbits,
-    far fewer than the states (27 against 501 at k = 5), so the estimate
-    is an upper bound that overstates the cost: cold, (5, 12) is
-    estimated at 81 ms and takes 0.9 ms, (6, 14) at 1.1 s and takes 3 ms.
-
-    When the visits alone exceed ``bound``, their work is returned without
-    counting p(k), which takes O(k^2) big-integer additions."""
+    0.1 us (fitted to cold ``_brute_summaries(k, 2k + 4)``, k = 6..12, with
+    CPython 3.11 on one Xeon core): 4 per transposition tried on an orbit,
+    plus one per 2048 bits of the counts (below C(k,2)^r), and 1000 plus one
+    per byte for each step's summary of p(k) counts.  The orbits grow with
+    t, so the tries on t <= k sheets are returned once they pass ``bound``."""
     steps = max(r, 1)
     bits = r * max(comb(k, 2) - 1, 0).bit_length()
-    work = steps * _state_bound(k) * (comb(k, 2) + 1) * (12 + bits // 2048)
-    if bound is not None and work > bound:
-        return work
-    return work + steps * (1000 + partition_counts(k, k)[k] * bits // 8)
+    for t in range(1, k + 1):
+        partitions, orbits = _orbit_counts(t)[:2]
+        tries = steps * orbits * comb(t, 2) * (4 + bits // 2048)
+        if bound is not None and tries > bound:
+            return tries
+    return tries + steps * (1000 + partitions * bits // 8)
 
 
 def _orbit_moves(key: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, int], ...]:
@@ -198,9 +198,8 @@ def brute_force_hurwitz(
     m * T(O) to T(O') for the m transpositions carrying orbit O into O'.
     Connectivity of the final edge graph (a one-block orbit) is the
     transitivity test for the generated subgroup.  Infeasible inputs
-    raise instead of approximating: k above ``sheet_bound``, or a state
-    space worse than ``work_bound`` (estimated by ``_brute_work(k, d)``,
-    which counts states and so overstates the orbits' cost).
+    raise instead of approximating: k above ``sheet_bound``, or orbits
+    whose work ``_brute_work(k, d)`` exceeds ``work_bound``.
     """
     profile = check_profile(profile)
     r = ramification_count(g, profile)

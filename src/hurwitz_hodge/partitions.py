@@ -7,9 +7,9 @@ partition.  A pole profile is the ordered variant: a plain tuple of
 positive integers that keeps its positions, so inclusion-exclusion over
 labeled poles can address individual entries.  ``check_partition`` and
 ``check_profile`` validate tuples arriving from outside the package.
-Partitions are listed by ``partitions_of`` (valid, never checked again)
-and counted by ``partition_counts`` here and nowhere else; ``hodge``
-builds its psi exponent tuples and sample points from ``partitions_of``.
+Partitions are listed by ``partitions_of`` (valid, never checked again;
+``hodge`` builds its psi exponent tuples and sample points from them) and
+counted by ``partition_counts`` (``engines`` counts p(k) with its orbits).
 """
 
 from __future__ import annotations

@@ -730,15 +730,18 @@ def test_huge_table_refused_before_its_keys_are_counted(capsys, tmp_path, monkey
 
 
 @pytest.mark.parametrize("argv, message", [
-    # p(2000) has 45 digits; the work estimate has more than Python prints
-    (("hurwitz", "--engine", "brute", "--genus", "0", "--profile", "2000",
-      "--brute-sheets", "10000"), "estimate of 19209 bits exceeds work bound"),
-    # refused on the state visits alone, before p(10000) is counted
+    # a genus of 2201 digits: the work estimate has more digits than Python
+    # prints, so the refusal names its bit length
+    (("hurwitz", "--engine", "brute", "--genus", "1" + "0" * 2200, "--profile", "2000",
+      "--brute-sheets", "2000"), "estimate of 14614 bits exceeds work bound"),
+    # refused on the tries at a few sheets, before p(10000) is counted
     (("hurwitz", "--engine", "brute", "--genus", "0", "--profile", "10000",
       "--brute-sheets", "10000"), "exceeds work bound"),
+    (("hurwitz", "--engine", "brute", "--genus", "0", "--profile", "1000000",
+      "--brute-sheets", "1000000"), "estimate 57137942862 exceeds work bound"),
     # the genus-9 table is refused before the kernels reach t^2000
     (("verify", "fp-identity", "--gmax", "1000"), "k=11 exceeds bound 10"),
-], ids=["brute-2000-sheets", "brute-10000-sheets", "fp-identity-gmax-1000"])
+], ids=["brute-2000-sheets", "brute-10000-sheets", "brute-1000000-sheets", "fp-identity-gmax-1000"])
 def test_raised_bounds_fail_fast(argv, message):
     result = subprocess.run(
         [sys.executable, "-m", "hurwitz_hodge", *argv],

@@ -532,12 +532,17 @@ def test_brute_force_work_estimate_lists_no_partitions(monkeypatch):
 
 
 def test_brute_force_refused_on_visits_counts_no_partitions(monkeypatch):
-    # the state visits alone exceed the bound, so p(2000) is never counted
-    def no_counting(top, largest):
-        raise AssertionError(f"counted the partitions of {top}")
+    # the transposition tries at a few sheets already exceed the bound, so
+    # neither p(2000) nor the orbits on 2000 sheets are ever counted
+    original = engines._orbit_counts
 
-    monkeypatch.setattr(engines, "partition_counts", no_counting)
-    with pytest.raises(InfeasibleError, match="estimate of 19209 bits exceeds work bound"):
+    def few_terms(t):
+        if t > 10:
+            raise AssertionError(f"counted the partitions of {t}")
+        return original(t)
+
+    monkeypatch.setattr(engines, "_orbit_counts", few_terms)
+    with pytest.raises(InfeasibleError, match="estimate 111832056 exceeds work bound"):
         brute_force_hurwitz(0, (2000,), sheet_bound=2000)
 
 
@@ -546,7 +551,32 @@ def test_brute_force_work_estimate_accepts_small_queries():
     # k <= 5 and r <= 12
     assert engines._brute_work(5, 12) <= engines.DEFAULT_WORK_BOUND
     assert all(engines._brute_work(k, r) > 0 for k in range(1, 6) for r in range(3))
-    assert [engines._state_bound(k) for k in range(1, 6)] == [1, 3, 13, 73, 501]
+
+
+# the orbits the estimate prices: multisets of partitions of total k
+# (OEIS A001970), k = 1..12
+ORBITS = [1, 3, 6, 14, 27, 58, 111, 223, 424, 817, 1527, 2870]
+
+
+def test_orbit_count_is_multisets_of_partitions():
+    assert [engines._orbit_counts(k)[1] for k in range(1, 13)] == ORBITS
+    assert [engines._orbit_counts(k)[0] for k in range(13)] == [len(partitions_of(k)) for k in range(13)]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_orbit_count_is_the_orbits_stepped(monkeypatch, k):
+    # from an empty state table, 2k + 4 steps build one move table per orbit
+    monkeypatch.setattr(engines, "_BRUTE_STATE", {})
+    engines._brute_summaries(k, 2 * k + 4)
+    assert len(engines._BRUTE_STATE[k]["moves"]) == engines._orbit_counts(k)[1] == ORBITS[k - 1]
+
+
+def test_brute_force_seven_sheets_is_accepted():
+    # 111 orbits: about 13 ms of estimated work, well inside the default
+    # work bound, though 7 sheets on the state count exceeded it
+    assert engines._brute_work(7, 14) <= engines.DEFAULT_WORK_BOUND
+    value = brute_force_hurwitz(1, (1,) * 7, sheet_bound=7)
+    assert value == connected_hurwitz(1, (1,) * 7) == 171121991040
 
 
 def test_character_engine_bounds():

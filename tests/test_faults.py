@@ -25,6 +25,17 @@ def _connected_plus_one_at_1_21(monkeypatch):
     monkeypatch.setattr(engines, "connected_hurwitz", faulty)
 
 
+def _brute_plus_one_at_1_21(monkeypatch):
+    # brute force counts h(1; 2,1) = 40 as 41, whatever order the poles come in
+    original = engines.brute_force_hurwitz
+
+    def faulty(g, profile, **bounds):
+        value = original(g, profile, **bounds)
+        return value + 1 if (g, sorted(profile)) == (1, [1, 2]) else value
+
+    monkeypatch.setattr(engines, "brute_force_hurwitz", faulty)
+
+
 ROWS = [
     (_connected_plus_one_at_1_21, ("verify", "engines"), 3,
      "engines g=1/mu=2,1/brute-vs-frobenius 40 41 fail"),
@@ -35,6 +46,15 @@ ROWS = [
     # a blind spot: 41 * #Aut * prod k = 82 is an integer, so the LL check
     # passes the wrong count
     (_connected_plus_one_at_1_21, ("verify", "degll"), 0, None),
+    (_brute_plus_one_at_1_21, ("hurwitz", "--genus", "1", "--profile", "2,1"), 3,
+     "error: engines disagree on genus 1, profile (2, 1): frobenius=40, brute=41"),
+    (_brute_plus_one_at_1_21, ("verify", "engines"), 3,
+     "engines g=1/mu=2,1/brute-vs-frobenius 41 40 fail"),
+    # a gap: an engine chosen by name is not cross-checked, so 41 is printed
+    (_brute_plus_one_at_1_21, ("hurwitz", "--engine", "brute", "--genus", "1", "--profile", "2,1"), 0, None),
+    # neither suite calls brute force
+    (_brute_plus_one_at_1_21, ("verify", "genus0"), 0, None),
+    (_brute_plus_one_at_1_21, ("verify", "degll"), 0, None),
 ]
 
 
