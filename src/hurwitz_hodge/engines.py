@@ -98,7 +98,13 @@ def _brute_work(k: int, r: int, bound: int | None = None) -> int:
     CPython 3.11 on one Xeon core): 4 per transposition tried on an orbit,
     plus one per 2048 bits of the counts (below C(k,2)^r), and 1000 plus one
     per byte for each step's summary of p(k) counts.  The orbits grow with
-    t, so the tries on t <= k sheets are returned once they pass ``bound``."""
+    t, so the tries on t <= k sheets are returned once they pass ``bound``.
+
+    The 1000 units a step cap memory, not time: every step's summary is
+    kept (72 bytes a step at one sheet, 232 at two, by tracemalloc at
+    r = 10^5), so at the default bound of 10^8 one or two sheets stop near
+    10^5 steps (23 MB).  Priced at its time (about 12 units at two sheets),
+    a step would let some 8 * 10^6 steps pass, roughly 1.9 GB."""
     steps = max(r, 1)
     bits = r * max(comb(k, 2) - 1, 0).bit_length()
     for t in range(1, k + 1):

@@ -57,8 +57,9 @@ the count: an engine or sign error fails loudly instead of giving a wrong
 table.
 
 The alternating sign (-1)^j is forced by h_{1;1} = 0: with all-plus signs
-the one-pole genus-1 prediction would be 1/6.  ``hurwitz_from_hodge`` keeps
-a "plus" variant selectable so the failure is demonstrable.
+the one-pole genus-1 prediction would be 1/6.  ``verify hodge-roundtrip``
+shows this by evaluating a copy of the (1, 1) table with its odd-j entries
+negated.
 
 Unstable pairs (g, n) = (0, 1) and (0, 2) have no moduli space and are
 rejected by every operation here, although the covering counts themselves
@@ -572,22 +573,11 @@ def extract_hodge_integrals(
     return table
 
 
-def hurwitz_from_hodge(
-    g: int,
-    profile,
-    table: HodgeTable,
-    *,
-    lambda_signs: str = "alternating",
-) -> Fraction:
-    """Forward evaluation: prefactor * P(profile) from a table of integrals.
-
-    ``lambda_signs`` selects the sign of the lambda_j term in P:
-    "alternating" (the default and the convention consistent with
-    h_{1;1} = 0) or "plus" (kept to demonstrate that the naive choice
-    fails).  Raises KeyError listing any integrals missing from the table.
+def hurwitz_from_hodge(g: int, profile, table: HodgeTable) -> Fraction:
+    """Forward evaluation: prefactor * P(profile) from a table of integrals,
+    with the lambda_j term of P signed (-1)^j.  Raises KeyError listing any
+    integrals missing from the table.
     """
-    if lambda_signs not in ("alternating", "plus"):
-        raise ValueError(f"unknown lambda_signs {lambda_signs!r}")
     profile = check_profile(profile)
     n = len(profile)
     keys = hodge_keys(g, n)
@@ -596,6 +586,5 @@ def hurwitz_from_hodge(
         raise KeyError(f"table is missing {len(missing)} integral(s): {missing}")
     p_value = Fraction(0)
     for j, b in keys:
-        sign = (-1) ** j if lambda_signs == "alternating" else 1
-        p_value += sign * table.values[(g, n, b, j)] * _monomial_sum(b, profile)
+        p_value += (-1) ** j * table.values[(g, n, b, j)] * _monomial_sum(b, profile)
     return prefactor(g, profile) * p_value

@@ -91,12 +91,12 @@ def _degll(gmax, cache_path) -> list[Check]:
 
 
 def _roundtrip(gmax, cache_path) -> list[Check]:
-    checks = []
+    checks, tables = [], {}
     for g in range(3):
         for n in range(1, 4):
             if not hodge.is_stable(g, n):
                 continue
-            table = hodge.extract_hodge_integrals(g, n, k_bound=15, r_bound=20)
+            table = tables[g, n] = hodge.extract_hodge_integrals(g, n, k_bound=15, r_bound=20)
             level = table.grid_bound[(g, n)]
             for point in combinations_with_replacement(range(1, 5), n):
                 expected = engines.connected_hurwitz(g, point, k_bound=15, r_bound=20)
@@ -105,12 +105,14 @@ def _roundtrip(gmax, cache_path) -> list[Check]:
                 tag = "in-grid" if sum(point) - n <= level else "out-of-grid"
                 checks.append(make_check("hodge-roundtrip", f"g={g}/mu={_mu_text(point)}/{tag}",
                                          expected, actual))
-    # h(1;1) = 0 forces alternating signs; all-plus signs would give 1/6
-    table11 = hodge.extract_hodge_integrals(1, 1)
-    alternating = hodge.hurwitz_from_hodge(1, (1,), table11)
-    plus = hodge.hurwitz_from_hodge(1, (1,), table11, lambda_signs="plus")
-    checks.append(make_check("hodge-roundtrip", "sign=alternating/h(1;1)", Fraction(0), alternating))
-    checks.append(make_check("hodge-roundtrip", "sign=plus/h(1;1)", Fraction(1, 6), plus))
+    # h(1;1) = 0 forces alternating signs.  The all-plus P of a table is the
+    # alternating P of its copy with every odd-j entry negated: 1/6 here.
+    t11, plus = tables[1, 1], hodge.HodgeTable()
+    plus.values = {(g, n, b, j): (-1) ** j * value for (g, n, b, j), value in t11.values.items()}
+    checks.append(make_check("hodge-roundtrip", "sign=alternating/h(1;1)", Fraction(0),
+                             hodge.hurwitz_from_hodge(1, (1,), t11)))
+    checks.append(make_check("hodge-roundtrip", "sign=plus/h(1;1)", Fraction(1, 6),
+                             hodge.hurwitz_from_hodge(1, (1,), plus)))
     return checks
 
 

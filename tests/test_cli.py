@@ -69,6 +69,15 @@ def test_brute_force_long_run_exit_2(capsys):
     assert code == 2 and "work bound" in err
 
 
+def test_brute_force_estimate_named_by_bit_length(capsys):
+    # a genus of 4300 digits, the most Python reads: the estimate has more
+    # digits than Python prints, so the refusal names its bit length
+    code, out, err = run_cli(capsys, "hurwitz", "--engine", "brute", "--genus", "9" * 4300, "--profile", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: brute force infeasible: state-space work estimate of 14296 bits"
+                   " exceeds work bound 100000000\n")
+
+
 def test_raised_bounds_via_flags(capsys):
     # one-pole genus 0 is k^(k-3); for k = 11 that is 11^8
     code, out, _ = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "11", "--kmax", "11")
@@ -292,6 +301,20 @@ def test_verify_suites_pass(capsys, suite):
     code, out, _ = run_cli(capsys, "verify", suite)
     assert code == 0
     assert out and all(line.endswith(" pass") for line in out.splitlines())
+
+
+def test_roundtrip_extracts_each_table_once(monkeypatch):
+    # both sign checks evaluate the (1, 1) table the sweep extracted
+    calls = []
+    original = hodge.extract_hodge_integrals
+
+    def counting(g, n, **bounds):
+        calls.append((g, n))
+        return original(g, n, **bounds)
+
+    monkeypatch.setattr(hodge, "extract_hodge_integrals", counting)
+    assert all(check.status == "pass" for check in verify.run("hodge-roundtrip"))
+    assert calls == [(0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
 
 
 def test_verify_degll_flags_poisoned_cache(capsys, tmp_path):

@@ -1,8 +1,9 @@
 """The fault table: one injected fault per row, the command run under it,
 its exit code and its first failing line.
 
-A fault is a ``monkeypatch`` of one engine function at one key, installed
-on the module attribute its callers go through.  A row whose check should
+A fault is a ``monkeypatch`` of one function at one key, installed on the
+module attribute its callers go through, or one record in a cache file
+that the row's command names (``CACHE`` in its argv).  A row whose check should
 catch the fault gives the line that names it (a ``fail`` line on stdout,
 else the first line on stderr); a row whose check cannot see the fault
 passes, so that a gap in the checks is written down here.
@@ -10,11 +11,11 @@ passes, so that a gap in the checks is written down here.
 
 import pytest
 
-from hurwitz_hodge import engines
+from hurwitz_hodge import cutjoin, engines, hodge
 from hurwitz_hodge.cli import main
 
 
-def _connected_plus_one_at_1_21(monkeypatch):
+def _connected_plus_one_at_1_21(monkeypatch, tmp_path):
     # h(1; 2,1) = 40 becomes 41, whatever order the poles come in
     original = engines.connected_hurwitz
 
@@ -25,7 +26,7 @@ def _connected_plus_one_at_1_21(monkeypatch):
     monkeypatch.setattr(engines, "connected_hurwitz", faulty)
 
 
-def _brute_plus_one_at_1_21(monkeypatch):
+def _brute_plus_one_at_1_21(monkeypatch, tmp_path):
     # brute force counts h(1; 2,1) = 40 as 41, whatever order the poles come in
     original = engines.brute_force_hurwitz
 
@@ -34,6 +35,44 @@ def _brute_plus_one_at_1_21(monkeypatch):
         return value + 1 if (g, sorted(profile)) == (1, [1, 2]) else value
 
     monkeypatch.setattr(engines, "brute_force_hurwitz", faulty)
+
+
+def _cutjoin_plus_one_at_1_21(monkeypatch, tmp_path):
+    # cut-and-join counts h(1; 2,1) = 40 as 41, whatever order the poles come in
+    original = cutjoin.cut_and_join_hurwitz
+
+    def faulty(g, profile, **bounds):
+        value = original(g, profile, **bounds)
+        return value + 1 if (g, sorted(profile)) == (1, [1, 2]) else value
+
+    monkeypatch.setattr(cutjoin, "cut_and_join_hurwitz", faulty)
+
+
+def _plus_signs_in_evaluator(monkeypatch, tmp_path):
+    # the table evaluator signs lambda_j with + instead of (-1)^j: the
+    # alternating P of the odd-j-negated table is the all-plus P
+    original = hodge.hurwitz_from_hodge
+
+    def faulty(g, profile, table, **options):
+        plus = hodge.HodgeTable()
+        plus.values = {(g, n, b, j): (-1) ** j * v for (g, n, b, j), v in table.values.items()}
+        return original(g, profile, plus, **options)
+
+    monkeypatch.setattr(hodge, "hurwitz_from_hodge", faulty)
+
+
+def _cache(tmp_path, record):
+    (tmp_path / "cache.txt").write_text(f"schema=hurwitz-hodge-cache/1\n{record}\n")
+
+
+def _cached_41_at_1_21(monkeypatch, tmp_path):
+    # h(1; 2,1) = 40 is cached as 41
+    _cache(tmp_path, "kind=hurwitz g=1 mu=2,1 engine=frobenius value=41")
+
+
+def _cached_5_at_0_21(monkeypatch, tmp_path):
+    # h(0; 2,1) = 4 is cached as 5
+    _cache(tmp_path, "kind=hurwitz g=0 mu=2,1 engine=frobenius value=5")
 
 
 ROWS = [
@@ -55,15 +94,49 @@ ROWS = [
     # neither suite calls brute force
     (_brute_plus_one_at_1_21, ("verify", "genus0"), 0, None),
     (_brute_plus_one_at_1_21, ("verify", "degll"), 0, None),
+    (_cutjoin_plus_one_at_1_21, ("verify", "engines"), 3,
+     "engines g=1/mu=2,1/frobenius-vs-cutjoin 40 41 fail"),
+    # a gap: an engine chosen by name is not cross-checked, so 41 is printed
+    (_cutjoin_plus_one_at_1_21, ("hurwitz", "--engine", "cutjoin", "--genus", "1", "--profile", "2,1"), 0,
+     None),
+    # none of these suites calls cut-and-join
+    (_cutjoin_plus_one_at_1_21, ("verify", "hodge-roundtrip"), 0, None),
+    (_cutjoin_plus_one_at_1_21, ("verify", "genus0"), 0, None),
+    (_cutjoin_plus_one_at_1_21, ("verify", "degll"), 0, None),
+    (_plus_signs_in_evaluator, ("verify", "hodge-roundtrip"), 3,
+     "hodge-roundtrip g=1/mu=1/in-grid 0 1/6 fail"),
+    # the sine-kernel identity reads the tables, not the evaluator
+    (_plus_signs_in_evaluator, ("verify", "fp-identity"), 0, None),
+    # the extraction carries its own sign and calls the evaluator only to
+    # name a nonzero residual
+    (_plus_signs_in_evaluator, ("hodge", "--genus", "1", "--points", "1"), 0, None),
+    # a gap: a hit is checked only for an integral LL degree (41 * 2 = 82),
+    # so 41 is printed
+    (_cached_41_at_1_21, ("hurwitz", "--genus", "1", "--profile", "2,1", "--cache", "CACHE"), 0, None),
+    (_cached_41_at_1_21, ("verify", "degll", "--cache", "CACHE"), 3,
+     "degll g=1/mu=2,1/frobenius 40 41 fail"),
+    # a gap: a genus-0 hit is not compared with the closed form, so 5 is printed
+    (_cached_5_at_0_21, ("hurwitz", "--genus", "0", "--profile", "2,1", "--cache", "CACHE"), 0, None),
+    (_cached_5_at_0_21, ("verify", "degll", "--cache", "CACHE"), 3,
+     "degll g=0/mu=2,1/closed-form 4 5 fail"),
 ]
 
 
 @pytest.mark.parametrize("fault, argv, code, first_failing", ROWS,
                          ids=[f"{fault.__name__[1:]}-{'-'.join(argv)}" for fault, argv, _, _ in ROWS])
-def test_fault_table(capsys, monkeypatch, fault, argv, code, first_failing):
-    fault(monkeypatch)
-    assert main(list(argv)) == code
+def test_fault_table(capsys, monkeypatch, tmp_path, fault, argv, code, first_failing):
+    fault(monkeypatch, tmp_path)
+    argv = [str(tmp_path / "cache.txt") if arg == "CACHE" else arg for arg in argv]
+    assert main(argv) == code
     captured = capsys.readouterr()
     failing = [line for line in captured.out.splitlines() if line.endswith(" fail")]
     failing += captured.err.splitlines()
     assert (failing[0] if failing else None) == first_failing
+
+
+@pytest.mark.parametrize("fault, genus, value", [(_cached_41_at_1_21, "1", "41"), (_cached_5_at_0_21, "0", "5")])
+def test_cache_gap_prints_the_cached_value(capsys, monkeypatch, tmp_path, fault, genus, value):
+    # the gap rows above, with what they print
+    fault(monkeypatch, tmp_path)
+    assert main(["hurwitz", "--genus", genus, "--profile", "2,1", "--cache", str(tmp_path / "cache.txt")]) == 0
+    assert capsys.readouterr().out == value + "\n"

@@ -401,11 +401,34 @@ def test_forward_examples():
     assert hurwitz_from_hodge(2, (2,), t21) == F(1, 2)
 
 
+def _odd_j_negated(table):
+    copy = HodgeTable()
+    copy.values = {(g, n, b, j): (-1) ** j * v for (g, n, b, j), v in table.values.items()}
+    return copy
+
+
 def test_forward_sign_variant():
+    # h(1;1) = 0 forces the alternating sign; all-plus signs predict 1/6
     t11 = extract_hodge_integrals(1, 1)
-    assert hurwitz_from_hodge(1, (1,), t11, lambda_signs="plus") == F(1, 6)
-    with pytest.raises(ValueError):
-        hurwitz_from_hodge(1, (1,), t11, lambda_signs="minus")
+    assert hurwitz_from_hodge(1, (1,), t11) == 0
+    assert hurwitz_from_hodge(1, (1,), _odd_j_negated(t11)) == F(1, 6)
+
+
+@pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (2, 1)])
+def test_odd_j_negated_copy_is_all_plus(g, n):
+    # the all-plus P of a table, summed here term by term, is the
+    # alternating P of its copy with every odd-j entry negated
+    table = extract_hodge_integrals(g, n)
+    plus = _odd_j_negated(table)
+    for profile in combinations_with_replacement(range(1, 4), n):
+        p_plus = sum(v * _monomial_sum(b, profile) for (_, _, b, _), v in table.values.items())
+        assert hurwitz_from_hodge(g, profile, plus) == prefactor(g, profile) * p_plus
+
+
+def test_forward_has_one_sign():
+    t11 = extract_hodge_integrals(1, 1)
+    with pytest.raises(TypeError):
+        hurwitz_from_hodge(1, (1,), t11, lambda_signs="plus")
 
 
 def test_forward_missing_keys_listed():
