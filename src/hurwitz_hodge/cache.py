@@ -3,15 +3,17 @@
 A cache file starts with one header line naming the schema version,
 followed by one record per line as space-separated ``field=value`` tokens,
 e.g. ``kind=hurwitz g=0 mu=2,1 engine=frobenius value=4``.  Version
-mismatches are rejected, never migrated.
+mismatches are rejected, never migrated.  A record ends at its line break,
+so an append cut short (a killed process, a full disk) leaves a last line
+without one; a read of or an append to such a file is a CacheError naming
+the file and the line, never a record served or completed.
 
 A read parses only what was appended since the last read of the same
-path.  Each path keeps a snapshot: the text parsed so far, up to its last
-line break, the records of that text and the first record under each key.
-When the file's text starts with the snapshot's text, only the rest is
-parsed; any other text (the file shrank, was rewritten or was replaced) is
-parsed again from the header.  A last line without a line break is parsed
-on every read and never kept.  Snapshots are replaced, never mutated.
+path.  Each path keeps a snapshot: the text parsed so far, the records of
+that text and the first record under each key.  When the file's text
+starts with the snapshot's text, only the rest is parsed; any other text
+(the file shrank, was rewritten or was replaced) is parsed again from the
+header.  Snapshots are replaced, never mutated.
 
 A read is one unbuffered binary read of the whole file, decoded as UTF-8
 with universal newlines (``\\r\\n`` and a lone ``\\r`` become ``\\n``), which
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 try:
     import fcntl
-except ImportError:  # no flock (Windows): reads may see a torn append
+except ImportError:  # no flock (Windows): a read may meet a torn append and reject it
     fcntl = None
 
 SCHEMA_LINE = "schema=hurwitz-hodge-cache/1"
@@ -52,7 +54,7 @@ class CacheError(ValueError):
 
 
 class _Snapshot(NamedTuple):
-    text: str  # the header and every line parsed, up to the last line break
+    text: str  # the header and every line parsed, each ending in its line break
     lines: int  # line count of text
     records: list  # the records of text
     first: dict  # key -> first record under that key in records
@@ -66,6 +68,20 @@ _HEADER_ONLY = _Snapshot(SCHEMA_LINE + "\n", 1, [], {})
 def _key(record: dict[str, str]) -> tuple[str, ...]:
     kind = record["kind"]
     return (kind, *(record[field] for field in _REQUIRED.get(kind, ())))
+
+
+def _index(records, first: dict) -> dict:
+    """A copy of ``first`` with the first record under each new key of ``records``."""
+    first = dict(first)
+    for record in records:
+        first.setdefault(_key(record), record)
+    return first
+
+
+def _cut_short(path: str, data: bytes) -> CacheError:
+    line = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1  # universal newlines
+    return CacheError(f"cache file {path}: line {line} lacks a line break: "
+                      "an append was cut short or the file was edited")
 
 
 def _parse(path: str, lines, start: int) -> list[dict[str, str]]:
@@ -117,56 +133,38 @@ def read_records(path: str) -> list[dict[str, str]]:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
     if "\r" in text:  # universal newlines, as a text-mode read translates them
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        raise _cut_short(path, data)
     snap = _SNAPSHOTS.get(path)
     if snap is None or not text.startswith(snap.text):
         header = text.partition("\n")[0]
         if header != SCHEMA_LINE:
-            found = header if text else "<empty>"
             raise CacheError(f"cache file {path}: unsupported cache schema: "
-                             f"expected {SCHEMA_LINE!r}, found {found!r}")
-        if text == SCHEMA_LINE:
-            return []
+                             f"expected {SCHEMA_LINE!r}, found {header!r}")
         snap = _HEADER_ONLY
-    end = text.rfind("\n") + 1
-    if end > len(snap.text):
-        lines = text[len(snap.text):end - 1].split("\n")
+    if len(text) > len(snap.text):
+        lines = text[len(snap.text):-1].split("\n")
         new = _parse(path, lines, snap.lines + 1)
-        first = dict(snap.first)
-        for record in new:
-            first.setdefault(_key(record), record)
-        snap = _Snapshot(text[:end], snap.lines + len(lines), snap.records + new, first)
+        snap = _Snapshot(text, snap.lines + len(lines), snap.records + new, _index(new, snap.first))
     with _SNAPSHOT_LOCK:
         _SNAPSHOTS[path] = snap
-    if end < len(text):
-        return snap.records + _parse(path, [text[end:]], snap.lines + 1)
     return snap.records
 
 
 def find(path: str, records) -> list[dict[str, str] | None]:
     """For each of ``records``, the first record in the cache file at
-    ``path`` with the same key, or None; a missing file is an empty cache.
-    A key is a kind and the fields that kind is read by, so the records a
-    command would write find their own, with or without ``engine`` and
-    ``value``: ``{"kind": "hurwitz", "g": "1", "mu": "2"}``."""
+    ``path`` with the same key, or None; a missing file is an empty cache,
+    and one read_records rejects (cut short, say) raises.  A key is a kind
+    and the fields that kind is read by, so a command's records find their
+    own, with or without ``engine`` and ``value``: ``{"kind": "hurwitz", "g": "1", "mu": "2"}``."""
     if not os.path.exists(path):
         return [None] * len(records)
     # one read through the module global, so a wrapper installed on
-    # read_records sees it
+    # read_records sees it; the snapshot's index answers for its own list
     found = read_records(path)
-    snap = _SNAPSHOTS.get(path)
-    # The snapshot's index holds for the records this read shares with it:
-    # all of them, or all but an unterminated last line.  A record object
-    # belongs to one chain of snapshots, at one position, so its last
-    # record standing at the same place in this read proves the prefix.
-    shared = len(snap.records) if snap is not None else 0
-    if shared and len(found) >= shared and found[shared - 1] is snap.records[-1]:
-        first = snap.first
-    else:
-        first, shared = {}, 0
-    rest: dict = {}  # the first record wins, so rest only answers what first lacks
-    for record in found[shared:]:
-        rest.setdefault(_key(record), record)
-    return [first.get(key, rest.get(key)) for key in map(_key, records)]
+    snap = _SNAPSHOTS.get(path, _HEADER_ONLY)
+    first = snap.first if snap.records is found else _index(found, {})
+    return [first.get(key) for key in map(_key, records)]
 
 
 def parse_field(path: str, record: dict[str, str], field: str, parse):
@@ -192,9 +190,9 @@ def _line(record: dict[str, str]) -> str:
 
 
 def append_records(path: str, records) -> None:
-    """Append records, writing the schema header first on a fresh file and
-    a line break first after a last line that lacks one; a path that
-    cannot be written raises CacheError."""
+    """Append records, writing the schema header first on a fresh file; a
+    file whose last line lacks a line break, and a path that cannot be
+    written, raise CacheError and leave the file as it was."""
     text = "".join(_line(record) + "\n" for record in records)
     try:
         with open(path, "a+b") as fh:
@@ -205,8 +203,9 @@ def append_records(path: str, records) -> None:
                 text = SCHEMA_LINE + "\n" + text
             else:
                 fh.seek(size - 1)
-                if fh.read(1) != b"\n":
-                    text = "\n" + text
+                if fh.read(1) not in (b"\n", b"\r"):  # a lone \r reads as a line break
+                    fh.seek(0)
+                    raise _cut_short(path, fh.read())
             fh.write(text.encode("utf-8"))
     except OSError as exc:
         raise CacheError(f"cannot write cache file {path}: {exc.strerror or exc}") from exc

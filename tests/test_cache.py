@@ -94,12 +94,14 @@ def test_record_lacking_field_rejected(tmp_path, record, missing):
         (f"{SCHEMA_LINE}\nnot a record\n", "malformed cache record on line 2: 'not a record'"),
         (f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=3 g=5 value=1\n",
          "malformed cache record on line 2: g given twice: 'kind=hurwitz g=0 mu=3 g=5 value=1'"),
-        (f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=3 value=1\nkind=hurw",
+        (f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=3 value=1\nkind=hurw\n",
          "cache record on line 3 lacks kind/value: 'kind=hurw'"),
         (f"{SCHEMA_LINE}\nkind=hodge g=1 n=1 b=1 value=1/24\n",
          "hodge record on line 2 lacks j: 'kind=hodge g=1 n=1 b=1 value=1/24'"),
+        (f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=3 value=1\nkind=hurw",
+         "line 3 lacks a line break: an append was cut short or the file was edited"),
     ],
-    ids=["schema", "malformed", "given-twice", "lacks-kind-value", "lacks-field"],
+    ids=["schema", "malformed", "given-twice", "lacks-kind-value", "lacks-field", "unterminated"],
 )
 def test_record_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "cache.txt"
@@ -299,22 +301,33 @@ def test_appended_malformed_line_reports_fresh_line_number(tmp_path):
     with pytest.raises(CacheError) as direct:
         read_records(str(fresh))
     assert str(incremental.value) == str(direct.value).replace(str(fresh), str(path))
-    # the same for a last line with no line break
+    # a last line with no line break is refused whole, on every read; once
+    # it ends, its fresh line number is reported
     path.write_text(path.read_text().replace("not a record\n", "\nnot a"))
     for _ in range(2):
-        with pytest.raises(CacheError, match="line 6: 'not a'"):
+        with pytest.raises(CacheError, match="line 6 lacks a line break"):
             read_records(str(path))
+    path.write_text(path.read_text() + "\n")
+    with pytest.raises(CacheError, match="line 6: 'not a'"):
+        read_records(str(path))
 
 
-def test_header_without_line_break_is_an_empty_cache(tmp_path):
+@pytest.mark.parametrize(
+    "text, line",
+    [("", 1), (SCHEMA_LINE, 1), (SCHEMA_LINE + "\nkind=hurwitz g=0 mu=3 engine=brute value=1", 2),
+     (SCHEMA_LINE + "\r\nkind=hurwitz g=0 mu=3 engine=brute value=1\rkind=hurwitz g=0 mu=2", 3)],
+    ids=["empty", "header", "record", "universal-newlines"],
+)
+def test_file_without_final_line_break_is_an_error(tmp_path, text, line):
+    # a header or a record with no line break may be an append cut short,
+    # so nothing of it is read, on any read
     path = tmp_path / "cache.txt"
-    path.write_text(SCHEMA_LINE)
+    path.write_bytes(text.encode())
     for _ in range(2):
-        assert read_records(str(path)) == []
-    path.write_text(SCHEMA_LINE + "\nkind=hurwitz g=0 mu=3 engine=brute value=1")
-    assert read_records(str(path)) == [
-        {"kind": "hurwitz", "g": "0", "mu": "3", "engine": "brute", "value": "1"}
-    ]
+        with pytest.raises(CacheError) as info:
+            read_records(str(path))
+        assert str(info.value) == (f"cache file {path}: line {line} lacks a line break: "
+                                   "an append was cut short or the file was edited")
 
 
 def test_find_first_record_wins_and_missing_file_is_empty(tmp_path):
@@ -329,18 +342,21 @@ def test_find_first_record_wins_and_missing_file_is_empty(tmp_path):
     assert find(path, [dict(first, engine="frobenius", value="7")]) == [first]
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("kind=hurwitz g=1 mu=3 engine=brute value=4")  # no line break yet
+    with pytest.raises(CacheError, match="line 4 lacks a line break"):
+        find(path, [dict(wanted, mu="3")])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n")
     assert find(path, [dict(wanted, mu="3")])[0]["value"] == "4"
 
 
-def test_unterminated_last_line_is_indexed_alone(tmp_path, monkeypatch):
-    # a lookup in a file whose last line lacks a line break keys that line
-    # and the wanted records, not every record again; the first record
-    # under a key still wins over the unterminated one
+def test_repeated_lookups_key_only_the_wanted_records(tmp_path, monkeypatch):
+    # a lookup in an unchanged file keys the wanted records, not every
+    # record again; the first record under a key still wins
     path = tmp_path / "cache.txt"
     lines = [f"kind=hurwitz g=0 mu={k} engine=brute value={k}" for k in range(1, 2001)]
     path.write_text(SCHEMA_LINE + "\n" + "\n".join(lines) + "\n"
                     + "kind=hurwitz g=0 mu=7 engine=brute value=0\n"
-                    + "kind=hurwitz g=1 mu=7 engine=brute value=8")
+                    + "kind=hurwitz g=1 mu=7 engine=brute value=8\n")
     wanted = [{"kind": "hurwitz", "g": "0", "mu": "7"}, {"kind": "hurwitz", "g": "1", "mu": "7"},
               {"kind": "hurwitz", "g": "2", "mu": "7"}]
     expected = [{"kind": "hurwitz", "g": "0", "mu": "7", "engine": "brute", "value": "7"},
@@ -351,7 +367,7 @@ def test_unterminated_last_line_is_indexed_alone(tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "_key", lambda record: keyed.append(record) or original(record))
     for _ in range(3):
         assert find(str(path), wanted) == expected
-    assert len(keyed) == 3 * (len(wanted) + 1)
+    assert len(keyed) == 3 * len(wanted)
 
 
 def test_concurrent_reads_see_prefixes(tmp_path):
@@ -470,18 +486,32 @@ def test_round_trip_without_flock(tmp_path, monkeypatch):
     assert read_records(path) == [record]
 
 
-def test_append_after_unterminated_line_keeps_both_records(tmp_path):
+@pytest.mark.parametrize(
+    "text, line",
+    [(f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=1,1,1 engine=frobenius value=4", 2), (SCHEMA_LINE, 1),
+     (f"{SCHEMA_LINE}\r\nkind=hurwitz g=0 mu=3 value=1\rkind=hurwitz g=0 mu=1,1,1 engine=frobenius value=", 3)],
+    ids=["record", "header", "universal-newlines"],
+)
+def test_append_after_unterminated_line_is_refused(tmp_path, text, line):
+    # an append never completes a line cut short: it names the file and
+    # the line, as a read does, and writes nothing
     path = tmp_path / "cache.txt"
-    older = {"kind": "hurwitz", "g": "0", "mu": "1,1,1", "engine": "frobenius", "value": "4"}
+    path.write_bytes(text.encode())
     newer = {"kind": "hurwitz", "g": "1", "mu": "2", "engine": "frobenius", "value": "1/2"}
-    path.write_text(f"{SCHEMA_LINE}\nkind=hurwitz g=0 mu=1,1,1 engine=frobenius value=4")
-    append_records(str(path), [newer])
-    assert read_records(str(path)) == [older, newer]
-    # a header with no line break is not merged with the first record either
-    path.write_text(SCHEMA_LINE)
+    with pytest.raises(CacheError) as info:
+        append_records(str(path), [newer])
+    assert str(info.value) == (f"cache file {path}: line {line} lacks a line break: "
+                               "an append was cut short or the file was edited")
+    assert path.read_bytes() == text.encode()
+
+
+def test_append_after_lone_carriage_return(tmp_path):
+    # a read takes a lone \r for a line break, so an append may follow it
+    path = tmp_path / "cache.txt"
+    path.write_bytes(f"{SCHEMA_LINE}\r".encode())
+    newer = {"kind": "hurwitz", "g": "1", "mu": "2", "engine": "frobenius", "value": "1/2"}
     append_records(str(path), [newer])
     assert read_records(str(path)) == [newer]
-    assert path.read_text() == f"{SCHEMA_LINE}\nkind=hurwitz g=1 mu=2 engine=frobenius value=1/2\n"
 
 
 def test_repeated_field_rejected(tmp_path):

@@ -426,7 +426,38 @@ def test_bad_unterminated_last_record_names_file(capsys, tmp_path):
     cache.write_text("schema=hurwitz-hodge-cache/1\nkind=hurwitz g=0 mu=2 engine=brute value=1/2\nkind=hurw")
     code, out, err = run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "3", "--cache", str(cache))
     assert (code, out) == (1, "")
-    assert err == f"error: cache file {cache}: cache record on line 3 lacks kind/value: 'kind=hurw'\n"
+    assert err == (f"error: cache file {cache}: line 3 lacks a line break: "
+                   "an append was cut short or the file was edited\n")
+
+
+@pytest.mark.parametrize("argv", [("hurwitz", "--genus", "1", "--profile", "2,1"),
+                                  ("hodge", "--genus", "1", "--points", "2")], ids=["hurwitz", "hodge"])
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "after-a-record"])
+def test_cut_append_prints_the_true_value_or_exits_1(capsys, tmp_path, argv, existing):
+    # a real append cut after every byte, into a fresh file or after a
+    # record: a cut that ends a line leaves a cache to read, any other is
+    # an error naming the file and the line, and nothing is written to it.
+    # h(1; 2,1) = 40 cut to value=4 passes the LL check (4 * 1 * 2 = 8)
+    truth = run_cli(capsys, *argv)
+    assert truth[0] == 0
+    cache = tmp_path / "cache.txt"
+    if existing:
+        assert run_cli(capsys, "hurwitz", "--genus", "0", "--profile", "2", "--cache", str(cache))[0] == 0
+    before = cache.read_bytes() if existing else b""
+    assert run_cli(capsys, *argv, "--cache", str(cache)) == truth
+    whole = cache.read_bytes()
+    assert whole.startswith(before) and len(whole) > len(before) + 40
+    for end in range(len(before), len(whole) + 1):
+        cut = whole[:end]
+        cache.write_bytes(cut)
+        outcome = run_cli(capsys, *argv, "--cache", str(cache))
+        if cut.endswith(b"\n"):
+            assert outcome == truth, cut
+        else:
+            line = cut.count(b"\n") + 1
+            assert outcome == (1, "", f"error: cache file {cache}: line {line} lacks a line break: "
+                                      "an append was cut short or the file was edited\n"), cut
+            assert cache.read_bytes() == cut
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ its exit code and its first failing line.
 
 A fault is a ``monkeypatch`` of one function at one key, installed on the
 module attribute its callers go through, or one record in a cache file
-that the row's command names (``CACHE`` in its argv).  A row whose check should
+that the row's command names (``CACHE`` in its argv and its failing line).  A row whose check should
 catch the fault gives the line that names it (a ``fail`` line on stdout,
 else the first line on stderr); a row whose check cannot see the fault
 passes, so that a gap in the checks is written down here.
@@ -61,8 +61,25 @@ def _plus_signs_in_evaluator(monkeypatch, tmp_path):
     monkeypatch.setattr(hodge, "hurwitz_from_hodge", faulty)
 
 
-def _cache(tmp_path, record):
-    (tmp_path / "cache.txt").write_text(f"schema=hurwitz-hodge-cache/1\n{record}\n")
+def _class_row_heavier_at_21(monkeypatch, tmp_path):
+    # class (2,1)'s row gets z(mu) = 2 more weight at content 3, which keeps
+    # its power sums divisible by z, so the engine's own guard passes; a
+    # fresh class memo holds no count built from the true row, and the old
+    # one is put back afterwards
+    original = engines._class_row
+
+    def faulty(mu):
+        z, pairs = original(mu)
+        if mu == (2, 1):
+            pairs = tuple((c, w + z if c == 3 else w) for c, w in pairs)
+        return z, pairs
+
+    monkeypatch.setattr(engines, "_class_row", faulty)
+    monkeypatch.setattr(engines, "_CLASSES", {})
+
+
+def _cache(tmp_path, record, end="\n"):
+    (tmp_path / "cache.txt").write_text(f"schema=hurwitz-hodge-cache/1\n{record}{end}")
 
 
 def _cached_41_at_1_21(monkeypatch, tmp_path):
@@ -73,6 +90,11 @@ def _cached_41_at_1_21(monkeypatch, tmp_path):
 def _cached_5_at_0_21(monkeypatch, tmp_path):
     # h(0; 2,1) = 4 is cached as 5
     _cache(tmp_path, "kind=hurwitz g=0 mu=2,1 engine=frobenius value=5")
+
+
+def _cut_append_at_1_21(monkeypatch, tmp_path):
+    # an append of h(1; 2,1) = 40 cut short after value=4: no line break
+    _cache(tmp_path, "kind=hurwitz g=1 mu=2,1 engine=frobenius value=4", end="")
 
 
 ROWS = [
@@ -119,6 +141,30 @@ ROWS = [
     (_cached_5_at_0_21, ("hurwitz", "--genus", "0", "--profile", "2,1", "--cache", "CACHE"), 0, None),
     (_cached_5_at_0_21, ("verify", "degll", "--cache", "CACHE"), 3,
      "degll g=0/mu=2,1/closed-form 4 5 fail"),
+    # the record's LL degree 4 * 2 = 8 is an integer, but it lacks its line
+    # break, so it is never read
+    (_cut_append_at_1_21, ("hurwitz", "--genus", "1", "--profile", "2,1", "--cache", "CACHE"), 1,
+     "error: cache file CACHE: line 2 lacks a line break: an append was cut short or the file was edited"),
+    (_cut_append_at_1_21, ("verify", "degll", "--cache", "CACHE"), 1,
+     "error: cache file CACHE: line 2 lacks a line break: an append was cut short or the file was edited"),
+    # h(0; 2,1) = 4 reads as 17/2 and h(1; 2,1) = 40 as 161/2
+    (_class_row_heavier_at_21, ("verify", "engines"), 3,
+     "engines g=0/mu=2,1/brute-vs-frobenius 4 17/2 fail"),
+    (_class_row_heavier_at_21, ("verify", "genus0"), 3, "genus0 mu=2,1 4 17/2 fail"),
+    (_class_row_heavier_at_21, ("verify", "hodge-roundtrip"), 3,
+     "error: nonzero residual extracting (g=0, n=3) integrals at profile (1, 1, 1): 3017/640"),
+    # a blind spot: 161/2 * #Aut * prod k = 161 is an integer, so the LL
+    # check passes the wrong count
+    (_class_row_heavier_at_21, ("verify", "degll"), 0, None),
+    # the sine-kernel identity reads one-part classes only
+    (_class_row_heavier_at_21, ("verify", "fp-identity"), 0, None),
+    (_class_row_heavier_at_21, ("hurwitz", "--genus", "1", "--profile", "2,1"), 3,
+     "error: engines disagree on genus 1, profile (2, 1): frobenius=161/2, brute=40"),
+    # a gap: an engine chosen by name is not cross-checked, so 161/2 is printed
+    (_class_row_heavier_at_21, ("hurwitz", "--engine", "frobenius", "--genus", "1", "--profile", "2,1"), 0,
+     None),
+    (_class_row_heavier_at_21, ("hodge", "--genus", "1", "--points", "2"), 3,
+     "error: nonzero residual extracting (g=1, n=2) integrals at profile (1, 1): 27/10"),
 ]
 
 
@@ -126,11 +172,12 @@ ROWS = [
                          ids=[f"{fault.__name__[1:]}-{'-'.join(argv)}" for fault, argv, _, _ in ROWS])
 def test_fault_table(capsys, monkeypatch, tmp_path, fault, argv, code, first_failing):
     fault(monkeypatch, tmp_path)
-    argv = [str(tmp_path / "cache.txt") if arg == "CACHE" else arg for arg in argv]
+    cache = str(tmp_path / "cache.txt")
+    argv = [cache if arg == "CACHE" else arg for arg in argv]
     assert main(argv) == code
     captured = capsys.readouterr()
     failing = [line for line in captured.out.splitlines() if line.endswith(" fail")]
-    failing += captured.err.splitlines()
+    failing += [line.replace(cache, "CACHE") for line in captured.err.splitlines()]
     assert (failing[0] if failing else None) == first_failing
 
 
