@@ -75,28 +75,18 @@ def main(argv=None) -> int:
 
 
 def _compute_hurwitz(args, g: int, profile) -> tuple[Fraction, str]:
-    if args.engine == "brute":
-        value = engines.brute_force_hurwitz(
-            g, profile, sheet_bound=args.brute_sheets, work_bound=args.brute_work
-        )
-        return value, "brute"
-    if args.engine == "frobenius":
-        return engines.connected_hurwitz(g, profile, k_bound=args.kmax, r_bound=args.rmax), "frobenius"
-    if args.engine == "cutjoin":
-        return cutjoin.cut_and_join_hurwitz(g, profile, kmax=args.cutjoin_kmax, r_bound=args.rmax), "cutjoin"
-    # auto: character engine, cross-checked against brute force when feasible
-    value = engines.connected_hurwitz(g, profile, k_bound=args.kmax, r_bound=args.rmax)
-    try:
-        check = engines.brute_force_hurwitz(
-            g, profile, sheet_bound=args.brute_sheets, work_bound=args.brute_work
-        )
-    except InfeasibleError:
-        check = None
-    if check is not None and check != value:
-        raise ConsistencyError(
-            f"engines disagree on genus {g}, profile {profile}: frobenius={value}, brute={check}"
-        )
-    return value, "frobenius"
+    # args names its bounds as verify.Bounds does.  auto is frobenius checked
+    # by brute force where feasible, not by the genus-0 closed form, which
+    # would add about 70% to a warm pass of the poles benchmark
+    auto = args.engine == "auto"
+    engine = "frobenius" if auto else args.engine
+    value = verify.SOURCES[engine](g, profile, args)
+    for name, check in verify.witnesses(g, profile, ("brute",) if auto else (), args):
+        if check != value:
+            raise ConsistencyError(
+                f"engines disagree on genus {g}, profile {profile}: {engine}={value}, {name}={check}"
+            )
+    return value, engine
 
 
 def _cmd_hurwitz(args) -> int:

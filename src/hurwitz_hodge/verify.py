@@ -2,6 +2,7 @@
 here; the CLI's ``verify`` command and the acceptance tests both run it."""
 
 import os
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
@@ -11,6 +12,42 @@ from . import cutjoin, engines, hodge, series
 from .errors import ConsistencyError, InfeasibleError
 from .partitions import aut_count, parse_profile, partitions_of
 from .report import Check, make_check
+
+
+# Engine bounds under the hurwitz command's option names, so that its parsed
+# arguments serve as bounds too; each defaults to its engine's default.
+Bounds = namedtuple("Bounds", "brute_sheets brute_work kmax rmax cutjoin_kmax", defaults=(
+    engines.DEFAULT_SHEET_BOUND, engines.DEFAULT_WORK_BOUND, engines.DEFAULT_K_BOUND,
+    engines.DEFAULT_R_BOUND, cutjoin.DEFAULT_TRUNCATION))
+
+
+def _closed_form(g: int, profile, bounds) -> Fraction:
+    if g:
+        raise InfeasibleError(f"the closed form counts genus 0 only, not genus {g}")
+    return engines.genus_zero_closed_form(profile)
+
+
+# Every source of h(g; mu): name -> call (g, mu, bounds), raising
+# InfeasibleError where the source cannot serve.  A call looks its engine up
+# as it runs, so a patched or traced module attribute is the one called.
+SOURCES = {
+    "brute": lambda g, mu, b: engines.brute_force_hurwitz(g, mu, sheet_bound=b.brute_sheets,
+                                                          work_bound=b.brute_work),
+    "frobenius": lambda g, mu, b: engines.connected_hurwitz(g, mu, k_bound=b.kmax, r_bound=b.rmax),
+    "cutjoin": lambda g, mu, b: cutjoin.cut_and_join_hurwitz(g, mu, kmax=b.cutjoin_kmax, r_bound=b.rmax),
+    "closed-form": _closed_form,
+}
+
+
+def witnesses(g: int, mu, names, bounds=Bounds()):
+    """(name, h(g; mu)) from each source of ``names``, in that order,
+    skipping the sources that cannot serve within ``bounds``."""
+    for name in names:
+        try:
+            value = SOURCES[name](g, mu, bounds)
+        except InfeasibleError:
+            continue
+        yield name, value
 
 
 def _mu_text(mu) -> str:
@@ -42,14 +79,14 @@ def _genus0_keys():
 
 def _engines(gmax, cache_path) -> list[Check]:
     """Frobenius vs cut-and-join on every key, and vs brute force for k <= 5."""
-    checks = []
+    checks, bounds = [], Bounds(cutjoin_kmax=6)
     for g, mu in _engine_keys():
         key = f"g={g}/mu={_mu_text(mu)}"
         hf = engines.connected_hurwitz(g, mu)
         if sum(mu) <= 5:
             hb = engines.brute_force_hurwitz(g, mu)
             checks.append(make_check("engines", key + "/brute-vs-frobenius", hb, hf))
-        hc = cutjoin.cut_and_join_hurwitz(g, mu, kmax=6)
+        hc = SOURCES["cutjoin"](g, mu, bounds)
         checks.append(make_check("engines", key + "/frobenius-vs-cutjoin", hf, hc))
     return checks
 
@@ -77,29 +114,25 @@ def _degll(gmax, cache_path) -> list[Check]:
         h = cache_store.parse_field(cache_path, record, "value", Fraction)
         mu = cache_store.parse_field(cache_path, record, "mu", parse_profile)
         checks.append(_degll_check(g, mu, h))
-        # integrality alone misses a wrong but integral count
-        if g == 0:
-            checks.append(make_check("degll", f"g=0/mu={_mu_text(mu)}/closed-form",
-                                     engines.genus_zero_closed_form(mu), h))
-            continue
-        try:
-            expected = engines.connected_hurwitz(g, mu)
-        except InfeasibleError:  # outside the default bounds: integrality only
-            continue
-        checks.append(make_check("degll", f"g={g}/mu={_mu_text(mu)}/frobenius", expected, h))
+        # integrality alone misses a wrong but integral count: the first
+        # source that serves recomputes it; beyond all three, integrality only
+        for name, expected in witnesses(g, mu, ("closed-form", "frobenius", "brute")):
+            checks.append(make_check("degll", f"g={g}/mu={_mu_text(mu)}/{name}", expected, h))
+            break
     return checks
 
 
 def _roundtrip(gmax, cache_path) -> list[Check]:
-    checks, tables = [], {}
+    checks, tables, bounds = [], {}, Bounds(kmax=15, rmax=20)
     for g in range(3):
         for n in range(1, 4):
             if not hodge.is_stable(g, n):
                 continue
-            table = tables[g, n] = hodge.extract_hodge_integrals(g, n, k_bound=15, r_bound=20)
+            table = hodge.extract_hodge_integrals(g, n, k_bound=bounds.kmax, r_bound=bounds.rmax)
+            tables[g, n] = table
             level = table.grid_bound[(g, n)]
             for point in combinations_with_replacement(range(1, 5), n):
-                expected = engines.connected_hurwitz(g, point, k_bound=15, r_bound=20)
+                expected = SOURCES["frobenius"](g, point, bounds)
                 actual = hodge.hurwitz_from_hodge(g, point, table)
                 # in-grid: on the sample the table was extracted from
                 tag = "in-grid" if sum(point) - n <= level else "out-of-grid"

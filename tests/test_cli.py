@@ -344,8 +344,9 @@ def test_verify_degll_flags_integral_but_wrong_genus_zero_record(capsys, tmp_pat
 
 
 def test_verify_degll_recomputes_genus_one_records(capsys, tmp_path):
-    # 1 * 1 * 2 is an integer, so only the engine (1/2) catches g=1 mu=2;
-    # records outside the default bounds (k=11, r=61) get integrality only
+    # 1 * 1 * 2 is an integer, so only an engine (1/2) catches g=1 mu=2 and
+    # g=30 mu=2: frobenius within its default bounds, brute force past them
+    # (r=61) within its own; k=11 is past both and gets integrality only
     cache = tmp_path / "cache.txt"
     cache.write_text(
         "schema=hurwitz-hodge-cache/1\n"
@@ -358,7 +359,8 @@ def test_verify_degll_recomputes_genus_one_records(capsys, tmp_path):
     assert code == 3
     lines = out.splitlines()
     assert [line for line in lines if line.endswith(" fail")] == [
-        "degll g=1/mu=2/frobenius 1/2 1 fail"
+        "degll g=1/mu=2/frobenius 1/2 1 fail",
+        "degll g=30/mu=2/brute 1/2 1 fail",
     ]
     assert [line for line in lines if "/frobenius " in line] == [
         "degll g=1/mu=2/frobenius 1/2 1 fail",

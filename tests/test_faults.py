@@ -9,6 +9,8 @@ else the first line on stderr); a row whose check cannot see the fault
 passes, so that a gap in the checks is written down here.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from hurwitz_hodge import cutjoin, engines, hodge
@@ -22,6 +24,17 @@ def _connected_plus_one_at_1_21(monkeypatch, tmp_path):
     def faulty(g, profile, **bounds):
         value = original(g, profile, **bounds)
         return value + 1 if (g, sorted(profile)) == (1, [1, 2]) else value
+
+    monkeypatch.setattr(engines, "connected_hurwitz", faulty)
+
+
+def _connected_plus_one_at_0_33(monkeypatch, tmp_path):
+    # h(0; 3,3) = 1215 becomes 1216: six sheets, past brute force's default
+    original = engines.connected_hurwitz
+
+    def faulty(g, profile, **bounds):
+        value = original(g, profile, **bounds)
+        return value + 1 if (g, sorted(profile)) == (0, [3, 3]) else value
 
     monkeypatch.setattr(engines, "connected_hurwitz", faulty)
 
@@ -61,6 +74,18 @@ def _plus_signs_in_evaluator(monkeypatch, tmp_path):
     monkeypatch.setattr(hodge, "hurwitz_from_hodge", faulty)
 
 
+def _sample_value_off_at_1_22(monkeypatch, tmp_path):
+    # the normalized count of the (1, 2) sample point (2, 2) is 1/1000 too
+    # high; prefactor passes h = 1 and is left alone
+    original = hodge._normalized
+
+    def faulty(g, profile, h):
+        value = original(g, profile, h)
+        return value + Fraction(1, 1000) if h != 1 and (g, tuple(sorted(profile))) == (1, (2, 2)) else value
+
+    monkeypatch.setattr(hodge, "_normalized", faulty)
+
+
 def _class_row_heavier_at_21(monkeypatch, tmp_path):
     # class (2,1)'s row gets z(mu) = 2 more weight at content 3, which keeps
     # its power sums divisible by z, so the engine's own guard passes; a
@@ -92,6 +117,11 @@ def _cached_5_at_0_21(monkeypatch, tmp_path):
     _cache(tmp_path, "kind=hurwitz g=0 mu=2,1 engine=frobenius value=5")
 
 
+def _cached_1_at_30_2(monkeypatch, tmp_path):
+    # h(30; 2) = 1/2 is cached as 1; r = 61 is past frobenius's --rmax 40
+    _cache(tmp_path, "kind=hurwitz g=30 mu=2 engine=brute value=1")
+
+
 def _cut_append_at_1_21(monkeypatch, tmp_path):
     # an append of h(1; 2,1) = 40 cut short after value=4: no line break
     _cache(tmp_path, "kind=hurwitz g=1 mu=2,1 engine=frobenius value=4", end="")
@@ -107,6 +137,18 @@ ROWS = [
     # a blind spot: 41 * #Aut * prod k = 82 is an integer, so the LL check
     # passes the wrong count
     (_connected_plus_one_at_1_21, ("verify", "degll"), 0, None),
+    (_connected_plus_one_at_0_33, ("verify", "genus0"), 3, "genus0 mu=3,3 1215 1216 fail"),
+    (_connected_plus_one_at_0_33, ("verify", "engines"), 3,
+     "engines g=0/mu=3,3/frobenius-vs-cutjoin 1216 1215 fail"),
+    # a gap: auto's only witness, brute force, stops at five sheets, so 1216
+    # is printed; the genus-0 closed form is no witness of auto, since at
+    # 27-34 us on each genus-0 query of the poles benchmark it would add
+    # about 70% to that benchmark's warm pass of six queries (125 us)
+    (_connected_plus_one_at_0_33, ("hurwitz", "--genus", "0", "--profile", "3,3"), 0, None),
+    # degll's sweep checks integrality only; the round trip has no genus-0
+    # table of two poles
+    (_connected_plus_one_at_0_33, ("verify", "degll"), 0, None),
+    (_connected_plus_one_at_0_33, ("verify", "hodge-roundtrip"), 0, None),
     (_brute_plus_one_at_1_21, ("hurwitz", "--genus", "1", "--profile", "2,1"), 3,
      "error: engines disagree on genus 1, profile (2, 1): frobenius=40, brute=41"),
     (_brute_plus_one_at_1_21, ("verify", "engines"), 3,
@@ -141,6 +183,10 @@ ROWS = [
     (_cached_5_at_0_21, ("hurwitz", "--genus", "0", "--profile", "2,1", "--cache", "CACHE"), 0, None),
     (_cached_5_at_0_21, ("verify", "degll", "--cache", "CACHE"), 3,
      "degll g=0/mu=2,1/closed-form 4 5 fail"),
+    # a gap: the LL degree 1 * 2 = 2 is an integer, so 1 is printed
+    (_cached_1_at_30_2, ("hurwitz", "--genus", "30", "--profile", "2", "--cache", "CACHE"), 0, None),
+    # past frobenius's bounds, brute force recomputes the record
+    (_cached_1_at_30_2, ("verify", "degll", "--cache", "CACHE"), 3, "degll g=30/mu=2/brute 1/2 1 fail"),
     # the record's LL degree 4 * 2 = 8 is an integer, but it lacks its line
     # break, so it is never read
     (_cut_append_at_1_21, ("hurwitz", "--genus", "1", "--profile", "2,1", "--cache", "CACHE"), 1,
@@ -165,6 +211,14 @@ ROWS = [
      None),
     (_class_row_heavier_at_21, ("hodge", "--genus", "1", "--points", "2"), 3,
      "error: nonzero residual extracting (g=1, n=2) integrals at profile (1, 1): 27/10"),
+    # the residual names (1, 1), the first sample point the table solved
+    # with the perturbed (2, 2) misses, not (2, 2) itself
+    (_sample_value_off_at_1_22, ("hodge", "--genus", "1", "--points", "2"), 3,
+     "error: nonzero residual extracting (g=1, n=2) integrals at profile (1, 1): -3/1000"),
+    (_sample_value_off_at_1_22, ("verify", "hodge-roundtrip"), 3,
+     "error: nonzero residual extracting (g=1, n=2) integrals at profile (1, 1): -3/1000"),
+    # the one-pole tables have no two-pole sample point
+    (_sample_value_off_at_1_22, ("verify", "fp-identity"), 0, None),
 ]
 
 
@@ -187,3 +241,10 @@ def test_cache_gap_prints_the_cached_value(capsys, monkeypatch, tmp_path, fault,
     fault(monkeypatch, tmp_path)
     assert main(["hurwitz", "--genus", genus, "--profile", "2,1", "--cache", str(tmp_path / "cache.txt")]) == 0
     assert capsys.readouterr().out == value + "\n"
+
+
+def test_cache_gap_past_frobenius_prints_the_cached_value(capsys, monkeypatch, tmp_path):
+    # the g=30 gap row above, with what it prints
+    _cached_1_at_30_2(monkeypatch, tmp_path)
+    assert main(["hurwitz", "--genus", "30", "--profile", "2", "--cache", str(tmp_path / "cache.txt")]) == 0
+    assert capsys.readouterr().out == "1\n"
