@@ -40,9 +40,8 @@ import threading
 from fractions import Fraction
 from math import comb, factorial
 
-from .engines import DEFAULT_R_BOUND, ramification_count
+from .engines import DEFAULT_R_BOUND, _query
 from .errors import ConsistencyError, InfeasibleError
-from .partitions import check_profile
 
 DEFAULT_TRUNCATION = 10
 
@@ -174,14 +173,11 @@ def cut_and_join_hurwitz(
 ) -> Fraction:
     """h_{g; profile} read off as the coefficient of p_profile in the layer
     with r = ramification_count(g, profile) transpositions."""
-    profile = check_profile(profile)
-    k = sum(profile)
+    mu, k, r = _query(g, profile)
     if k > kmax:
         raise InfeasibleError(
             f"cut-and-join infeasible: |mu|={k} exceeds truncation bound kmax={kmax}"
         )
-    r = ramification_count(g, profile)
     if r > r_bound:
         raise InfeasibleError(f"cut-and-join infeasible: r={r} exceeds bound {r_bound}")
-    mu = tuple(sorted(profile, reverse=True))
     return Fraction(_layers(kmax, r)[r][0].get(mu, 0), factorial(kmax))

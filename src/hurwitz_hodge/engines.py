@@ -61,13 +61,21 @@ DEFAULT_K_BOUND = 10
 DEFAULT_R_BOUND = 40
 
 
+def _query(g: int, profile) -> tuple[tuple[int, ...], int, int]:
+    """(mu, k, d) of the count h_{g; profile}: the class mu, the profile
+    sorted descending; its sheet count k; and d = k + n + 2g - 2.  The
+    profile is checked, then the genus, once for every count source."""
+    mu = tuple(sorted(check_profile(profile), reverse=True))
+    if not isinstance(g, int) or g < 0:
+        raise ValueError(f"genus must be a nonnegative integer, got {g!r}")
+    k = sum(mu)
+    return mu, k, k + len(mu) + 2 * g - 2
+
+
 def ramification_count(g: int, profile) -> int:
     """Number d = k + n + 2g - 2 of simple branch points of a genus-g
     covering with the given pole orders."""
-    profile = check_profile(profile)
-    if not isinstance(g, int) or g < 0:
-        raise ValueError(f"genus must be a nonnegative integer, got {g!r}")
-    return sum(profile) + len(profile) + 2 * g - 2
+    return _query(g, profile)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +215,7 @@ def brute_force_hurwitz(
     raise instead of approximating: k above ``sheet_bound``, or orbits
     whose work ``_brute_work(k, d)`` exceeds ``work_bound``.
     """
-    profile = check_profile(profile)
-    r = ramification_count(g, profile)
-    k = sum(profile)
+    mu, k, r = _query(g, profile)
     if k > sheet_bound:
         raise InfeasibleError(f"brute force infeasible: k={k} exceeds sheet bound {sheet_bound}")
     work = _brute_work(k, r, work_bound)
@@ -221,7 +227,6 @@ def brute_force_hurwitz(
         raise InfeasibleError(
             f"brute force infeasible: state-space work estimate {shown} exceeds work bound {work_bound}"
         )
-    mu = tuple(sorted(profile, reverse=True))
     count = _brute_summaries(k, r)[r].get(mu, 0)
     return Fraction(count, factorial(k))
 
@@ -381,7 +386,7 @@ def _connected(counts: _ClassCounts, r: int) -> int:
     """k! * #Aut(mu) times the connected Hurwitz number for class mu
     realized with r transpositions, an integer.  r must fit a genus, that
     is r = k + n + 2g - 2 for some g >= 0: connected_hurwitz passes
-    ramification_count, and the recursion below steps through such r only.
+    the d of _query, and the recursion below steps through such r only.
 
     The disconnected count minus, over the splits, the terms in which pole
     1's component takes r_block of the r transpositions (a binomial choice
@@ -418,11 +423,8 @@ def connected_hurwitz(
     """The Hurwitz number h_{g; profile}, by the class-algebra engine plus
     inclusion-exclusion over sub-multisets of poles with binomial weights;
     invariant under reordering the profile."""
-    profile = check_profile(profile)
-    r = ramification_count(g, profile)
-    k = sum(profile)
+    mu, k, r = _query(g, profile)
     _check_bounds(k, r, k_bound, r_bound)
-    mu = tuple(sorted(profile, reverse=True))
     # a warm call reads two dicts, no dearer than an lru_cache hit
     counts = _CLASSES.get(mu) or _class_counts(mu)
     labeled = counts.connected.get(r)
@@ -433,11 +435,9 @@ def connected_hurwitz(
 
 def genus_zero_closed_form(profile) -> Fraction:
     """d! k^(n-3) prod_i k_i^{k_i}/k_i! / #Aut: the sphere (g = 0) value in
-    closed form, valid for every n >= 1."""
-    profile = check_profile(profile)
-    k, n = sum(profile), len(profile)
-    d = k + n - 2
-    value = Fraction(factorial(d)) * Fraction(k) ** (n - 3) / aut_count(profile)
-    for part in profile:
-        value *= Fraction(part ** part, factorial(part))
-    return value
+    closed form, valid for every n >= 1, as one integer quotient with the
+    power of k on the side that keeps it integral."""
+    mu, k, d = _query(0, profile)
+    n = len(mu)
+    return Fraction(factorial(d) * k ** max(n - 3, 0) * prod(part ** part for part in mu),
+                    aut_count(mu) * prod(map(factorial, mu)) * k ** max(3 - n, 0))

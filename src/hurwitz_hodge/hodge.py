@@ -107,7 +107,7 @@ def prefactor(g: int, profile) -> Fraction:
     """The combinatorial factor d!/#Aut * prod_i k_i^{k_i}/k_i! relating the
     covering count to the normalized polynomial P: the inverse of the one
     quotient _normalized(g, profile, 1)."""
-    return 1 / _normalized(g, check_profile(profile), 1)
+    return 1 / _normalized(g, profile, 1)
 
 
 def weight_w(profile) -> Fraction:
@@ -148,14 +148,14 @@ def normalized_value(g: int, profile, hurwitz=None) -> Fraction:
     return _normalized(g, profile, (hurwitz or engines.connected_hurwitz)(g, profile))
 
 
-def _normalized(g: int, profile: tuple, h) -> Fraction:
+def _normalized(g: int, profile, h) -> Fraction:
     """h / prefactor(g, profile) as the one quotient both use,
-    h * #Aut * prod_i k_i! / (d! * prod_i k_i^{k_i}), for a profile
-    already checked (ramification_count checks the genus)."""
+    h * #Aut * prod_i k_i! / (d! * prod_i k_i^{k_i}); the engines' query
+    checks the profile and the genus."""
     h = _exact(h, "a Hurwitz number")  # an int has numerator and denominator too
-    d = engines.ramification_count(g, profile)
-    return Fraction(h.numerator * aut_count(profile) * prod(map(factorial, profile)),
-                    h.denominator * factorial(d) * prod(k ** k for k in profile))
+    mu, _, d = engines._query(g, profile)
+    return Fraction(h.numerator * aut_count(mu) * prod(map(factorial, mu)),
+                    h.denominator * factorial(d) * prod(k ** k for k in mu))
 
 
 def hodge_keys(g: int, n: int) -> list[tuple[int, tuple[int, ...]]]:

@@ -78,13 +78,13 @@ def _genus0_keys():
 
 
 def _engines(gmax, cache_path) -> list[Check]:
-    """Frobenius vs cut-and-join on every key, and vs brute force for k <= 5."""
+    """Frobenius vs cut-and-join on every key, and vs brute force where its
+    default bounds serve (k <= 5)."""
     checks, bounds = [], Bounds(cutjoin_kmax=6)
     for g, mu in _engine_keys():
         key = f"g={g}/mu={_mu_text(mu)}"
         hf = engines.connected_hurwitz(g, mu)
-        if sum(mu) <= 5:
-            hb = engines.brute_force_hurwitz(g, mu)
+        for _, hb in witnesses(g, mu, ("brute",), bounds):
             checks.append(make_check("engines", key + "/brute-vs-frobenius", hb, hf))
         hc = SOURCES["cutjoin"](g, mu, bounds)
         checks.append(make_check("engines", key + "/frobenius-vs-cutjoin", hf, hc))

@@ -64,6 +64,13 @@ def test_infeasible_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("engine", ["auto", "brute", "frobenius", "cutjoin"])
+def test_bad_genus_exits_1_before_any_bound(capsys, engine):
+    # |mu| = 20 is past every engine's default bounds; the genus is named first
+    code, out, err = run_cli(capsys, "hurwitz", "--engine", engine, "--genus", "-1", "--profile", "20")
+    assert (code, out, err) == (1, "", "error: genus must be a nonnegative integer, got -1\n")
+
+
 def test_brute_force_long_run_exit_2(capsys):
     code, _, err = run_cli(capsys, "hurwitz", "--engine", "brute", "--genus", "1000000", "--profile", "1")
     assert code == 2 and "work bound" in err

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz_hodge import characters, engines
+from hurwitz_hodge import characters, cutjoin, engines
 from hurwitz_hodge.characters import character_value, content_eigenvalue, irrep_dimension
 from hurwitz_hodge.cutjoin import cut_and_join_hurwitz
 from hurwitz_hodge.engines import (
@@ -20,7 +20,7 @@ from hurwitz_hodge.engines import (
     ramification_count,
 )
 from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
-from hurwitz_hodge.partitions import aut_count, partitions_of
+from hurwitz_hodge.partitions import aut_count, check_profile, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +174,24 @@ def test_connected_matches_cut_and_join_weight_8():
 )
 def test_genus_zero_closed_form_many_repeated_poles(mu):
     assert connected_hurwitz(0, mu, k_bound=16) == genus_zero_closed_form(mu)
+
+
+def _closed_form_per_pole(mu):
+    """d! k^(n-3) / #Aut times one Fraction k_i^{k_i}/k_i! per pole."""
+    k, n = sum(mu), len(mu)
+    value = Fraction(factorial(k + n - 2)) * Fraction(k) ** (n - 3) / aut_count(mu)
+    for part in mu:
+        value *= Fraction(part ** part, factorial(part))
+    return value
+
+
+def test_genus_zero_closed_form_is_the_per_pole_product():
+    # the quotient puts k^(n-3) below the line for n < 3; each profile is
+    # also given in ascending order, which the quotient sorts
+    keys = [mu for k in range(1, 17) for mu in partitions_of(k)] + [(17, 9, 4), (30, 1, 1, 1), (1,) * 20]
+    for mu in keys:
+        assert genus_zero_closed_form(mu) == genus_zero_closed_form(mu[::-1]) == _closed_form_per_pole(mu), mu
+    assert genus_zero_closed_form((17, 9, 4)) == connected_hurwitz(0, (17, 9, 4), k_bound=40, r_bound=80)
 
 
 # ---------------------------------------------------------------------------
@@ -598,3 +616,30 @@ def test_invalid_inputs():
         frobenius_disconnected((2,), -1)
     with pytest.raises(ValueError):
         brute_force_hurwitz(0, (0, 1))
+
+
+@pytest.mark.parametrize("count", [
+    lambda: brute_force_hurwitz(1, (1, 2)),
+    lambda: connected_hurwitz(1, (1, 2)),
+    lambda: cut_and_join_hurwitz(1, (1, 2)),
+    lambda: genus_zero_closed_form((1, 2)),
+], ids=["brute", "frobenius", "cutjoin", "closed-form"])
+def test_one_count_checks_its_profile_once(monkeypatch, count):
+    calls = []
+
+    def spy(profile):
+        calls.append(profile)
+        return check_profile(profile)
+
+    # cutjoin is spied on too, so that a check of its own would be counted
+    monkeypatch.setattr(engines, "check_profile", spy)
+    monkeypatch.setattr(cutjoin, "check_profile", spy, raising=False)
+    count()
+    assert calls == [(1, 2)]
+
+
+@pytest.mark.parametrize("count", [brute_force_hurwitz, connected_hurwitz, cut_and_join_hurwitz])
+def test_bad_genus_is_reported_before_any_bound(count):
+    # (20,) is past every engine's default bounds
+    with pytest.raises(ValueError, match="genus must be a nonnegative integer, got -1"):
+        count(-1, (20,))
