@@ -8,14 +8,12 @@ into tables of psi/lambda intersection numbers over the moduli space of
 curves, and cross-checked against the sine-kernel generating function.
 """
 
-from .characters import character_value, content_eigenvalue, irrep_dimension
+from .characters import character_value
 from .cutjoin import cut_and_join_hurwitz, cut_and_join_layers
 from .engines import (
     brute_force_hurwitz,
     connected_hurwitz,
-    frobenius_disconnected,
     genus_zero_closed_form,
-    ramification_count,
 )
 from .errors import ConsistencyError, InfeasibleError
 from .hodge import (
@@ -26,9 +24,7 @@ from .hodge import (
     hurwitz_from_hodge,
     is_stable,
     minimal_grid_bound,
-    normalized_value,
     prefactor,
-    weight_w,
 )
 from .partitions import aut_count, check_partition, check_profile, partitions_of, z_order
 from .series import (
@@ -46,20 +42,14 @@ __all__ = [
     "partitions_of",
     "z_order",
     "character_value",
-    "content_eigenvalue",
-    "irrep_dimension",
-    "ramification_count",
     "brute_force_hurwitz",
-    "frobenius_disconnected",
     "connected_hurwitz",
     "genus_zero_closed_form",
     "cut_and_join_layers",
     "cut_and_join_hurwitz",
     "HodgeTable",
     "prefactor",
-    "weight_w",
     "degree_LL",
-    "normalized_value",
     "hodge_keys",
     "minimal_grid_bound",
     "extract_hodge_integrals",

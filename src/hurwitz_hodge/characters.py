@@ -32,18 +32,10 @@ from math import factorial, prod
 from .partitions import check_partition
 
 
-def irrep_dimension(lam) -> int:
-    """Number of standard Young tableaux of the given shape.
-
-    Frobenius' formula on the beta-set b_i = lam_i + N - 1 - i of the N
-    rows: k! prod_{i<j} (b_i - b_j) / prod_i b_i!.  The division is exact,
-    and the value does not depend on N.
-    """
-    return _dimension(check_partition(lam))
-
-
 def _dimension(lam: tuple[int, ...]) -> int:
-    # irrep_dimension on a partition known to be valid
+    # the number of standard Young tableaux of the valid shape lam, by
+    # Frobenius' formula on the beta-set b_i = lam_i + N - 1 - i of its N
+    # rows: k! prod_{i<j} (b_i - b_j) / prod_i b_i!, an exact division
     beta = [row + len(lam) - 1 - i for i, row in enumerate(lam)]
     spread = prod(b - c for b, c in combinations(beta, 2))
     return factorial(sum(lam)) * spread // prod(map(factorial, beta))
@@ -98,15 +90,7 @@ def _expansion(mu: tuple[int, ...]) -> dict[int, int]:
     return {mask: coef for mask, coef in out.items() if coef}
 
 
-def content_eigenvalue(lam) -> int:
-    """Sum of cell contents (column - row, both 1-based) of the shape.
-
-    The sum of all transpositions acts on the irreducible indexed by lam as
-    this scalar, which is what powers the class-algebra Hurwitz engine.
-    """
-    return _content_sum(check_partition(lam))
-
-
 def _content_sum(lam: tuple[int, ...]) -> int:
-    # content_eigenvalue on a partition known to be valid
+    # the sum of cell contents (column - row) of the valid shape lam: the
+    # scalar by which the sum of all transpositions acts on its irreducible
     return sum(row * (row - 1 - 2 * i) for i, row in enumerate(lam)) // 2

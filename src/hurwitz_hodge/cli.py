@@ -76,8 +76,8 @@ def main(argv=None) -> int:
 
 def _compute_hurwitz(args, g: int, profile) -> tuple[Fraction, str]:
     # args names its bounds as verify.Bounds does.  auto is frobenius checked
-    # by brute force where feasible, not by the genus-0 closed form, which
-    # would add about 70% to a warm pass of the poles benchmark
+    # by brute force where feasible, not by the genus-0 closed form, whose
+    # cost on the poles benchmark the README's --engine paragraph gives
     auto = args.engine == "auto"
     engine = "frobenius" if auto else args.engine
     value = verify.SOURCES[engine](g, profile, args)

@@ -172,7 +172,7 @@ def cut_and_join_hurwitz(
     r_bound: int = DEFAULT_R_BOUND,
 ) -> Fraction:
     """h_{g; profile} read off as the coefficient of p_profile in the layer
-    with r = ramification_count(g, profile) transpositions."""
+    with r = k + n + 2g - 2 transpositions, k = sum(profile) and n = len(profile)."""
     mu, k, r = _query(g, profile)
     if k > kmax:
         raise InfeasibleError(

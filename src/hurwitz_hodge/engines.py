@@ -22,7 +22,7 @@ nonnegative integer for every input.  Three independent engines:
   orbit named by the sorted cycle types of its blocks and carried by a
   move table built once from one representative;
 * ``connected_hurwitz`` expands the count without the connectivity
-  requirement over class-algebra eigenvalues (``frobenius_disconnected``)
+  requirement over class-algebra eigenvalues (``_disconnected``)
   and then peels off disconnected pieces by inclusion-exclusion over the
   poles sharing a component with pole 1.  Each class's character row is
   computed once and kept, with z(mu), as pairs (content sum, sum of
@@ -70,12 +70,6 @@ def _query(g: int, profile) -> tuple[tuple[int, ...], int, int]:
         raise ValueError(f"genus must be a nonnegative integer, got {g!r}")
     k = sum(mu)
     return mu, k, k + len(mu) + 2 * g - 2
-
-
-def ramification_count(g: int, profile) -> int:
-    """Number d = k + n + 2g - 2 of simple branch points of a genus-g
-    covering with the given pole orders."""
-    return _query(g, profile)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -327,27 +321,6 @@ def _check_bounds(k: int, r: int, k_bound: int, r_bound: int) -> None:
         raise InfeasibleError(f"character engine infeasible: k={k} exceeds bound {k_bound}")
     if r > r_bound:
         raise InfeasibleError(f"character engine infeasible: r={r} exceeds bound {r_bound}")
-
-
-def frobenius_disconnected(
-    mu,
-    r: int,
-    *,
-    k_bound: int = DEFAULT_K_BOUND,
-    r_bound: int = DEFAULT_R_BOUND,
-) -> Fraction:
-    """1/k! times the number of length-r transposition tuples whose product
-    has cycle type mu, with no connectivity requirement:
-
-        (1/z(mu)) sum over shapes lam of k
-            (dim lam / k!) * chi^lam(mu) * (content sum of lam)^r
-    """
-    mu = tuple(sorted(check_profile(mu), reverse=True))
-    if not isinstance(r, int) or r < 0:
-        raise ValueError(f"transposition count must be a nonnegative integer, got {r!r}")
-    k = sum(mu)
-    _check_bounds(k, r, k_bound, r_bound)
-    return Fraction(_disconnected(_class_counts(mu), r), factorial(k) * aut_count(mu))
 
 
 def _splits(mu: tuple[int, ...]) -> tuple[tuple[int, _ClassCounts, _ClassCounts, int, int], ...]:

@@ -110,12 +110,6 @@ def prefactor(g: int, profile) -> Fraction:
     return 1 / _normalized(g, profile, 1)
 
 
-def weight_w(profile) -> Fraction:
-    """Quasihomogeneity weight prod_i k_i^{k_i}/(k_i - 1)!."""
-    profile = check_profile(profile)
-    return Fraction(prod(k ** k for k in profile), prod(factorial(k - 1) for k in profile))
-
-
 def degree_LL(g: int, profile, h) -> int:
     """Degree of the Lyashko-Looijenga critical-value map:
     h * #Aut * prod_i k_i.
@@ -124,10 +118,10 @@ def degree_LL(g: int, profile, h) -> int:
     number for (g, profile); anything else raises ConsistencyError, since
     it signals a broken engine (or a wrong h supplied by the caller).
     """
-    profile = check_profile(profile)
-    engines.ramification_count(g, profile)  # validates the genus
+    profile = tuple(profile)  # the error names it in input order
+    mu = engines._query(g, profile)[0]  # checks the profile, then the genus
     h = _exact(h, "h")  # an int has numerator and denominator too
-    scaled = h.numerator * aut_count(profile) * prod(profile)
+    scaled = h.numerator * aut_count(mu) * prod(mu)
     degree, rest = divmod(scaled, h.denominator)
     if rest or degree < 0:
         raise ConsistencyError(
@@ -137,21 +131,10 @@ def degree_LL(g: int, profile, h) -> int:
     return degree
 
 
-def normalized_value(g: int, profile, hurwitz=None) -> Fraction:
-    """P(g, profile) = h / prefactor: the value of the bracketed integral.
-
-    ``hurwitz`` is an optional callable (g, profile) -> Fraction; defaults
-    to the connected class-algebra engine.
-    """
-    profile = check_profile(profile)
-    _require_stable(g, len(profile))
-    return _normalized(g, profile, (hurwitz or engines.connected_hurwitz)(g, profile))
-
-
 def _normalized(g: int, profile, h) -> Fraction:
-    """h / prefactor(g, profile) as the one quotient both use,
-    h * #Aut * prod_i k_i! / (d! * prod_i k_i^{k_i}); the engines' query
-    checks the profile and the genus."""
+    """h / prefactor(g, profile), the normalized count P that the
+    extraction samples, as one quotient h * #Aut * prod_i k_i! / (d! *
+    prod_i k_i^{k_i}); the engines' query checks the profile and the genus."""
     h = _exact(h, "a Hurwitz number")  # an int has numerator and denominator too
     mu, _, d = engines._query(g, profile)
     return Fraction(h.numerator * aut_count(mu) * prod(map(factorial, mu)),

@@ -76,6 +76,17 @@ def test_brute_force_long_run_exit_2(capsys):
     assert code == 2 and "work bound" in err
 
 
+def test_brute_force_served_at_its_work_estimate(capsys):
+    # the bound is inclusive: h(1; 2, 1) needs 5 steps on 3 sheets
+    work = engines._brute_work(3, 5)
+    query = ("hurwitz", "--engine", "brute", "--genus", "1", "--profile", "2,1")
+    assert run_cli(capsys, *query, "--brute-work", str(work)) == (0, "40\n", "")
+    code, out, err = run_cli(capsys, *query, "--brute-work", str(work - 1))
+    assert (code, out) == (2, "")
+    assert err == (f"error: brute force infeasible: state-space work estimate {work}"
+                   f" exceeds work bound {work - 1}\n")
+
+
 def test_brute_force_estimate_named_by_bit_length(capsys):
     # a genus of 4300 digits, the most Python reads: the estimate has more
     # digits than Python prints, so the refusal names its bit length

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz_hodge import cutjoin
+from hurwitz_hodge import cutjoin, engines
 from hurwitz_hodge.cutjoin import (
     cut_and_join_hurwitz,
     cut_and_join_layer,
     cut_and_join_layers,
 )
-from hurwitz_hodge.engines import connected_hurwitz, ramification_count
+from hurwitz_hodge.engines import connected_hurwitz
 from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
 from hurwitz_hodge.partitions import partitions_of
 
@@ -104,6 +104,13 @@ def test_r_bound_error():
         cut_and_join_hurwitz(30, (2,), r_bound=40)
 
 
+def test_layer_list_is_cut_at_r():
+    # a shorter list asked for after a longer one was built stops at F_r
+    assert len(cut_and_join_layers(9, kmax=5)) == 10
+    layers = cut_and_join_layers(3, kmax=5)
+    assert len(layers) == 4 and layers[3] == {(2,): F(1, 2), (2, 1): F(4), (4,): F(4)}
+
+
 def test_layers_are_copies():
     layers = cut_and_join_layers(1, kmax=6)
     layers[1][(9, 9)] = F(1)
@@ -133,7 +140,7 @@ def test_layer_cache_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    r = ramification_count(1, profile)
+    r = engines._query(1, profile)[2]
     assert results == [F(171121991040)] * 4
     assert len(cutjoin._LAYER_CACHE[9]) == r + 1
 
@@ -141,7 +148,7 @@ def test_layer_cache_is_thread_safe():
 def test_ramification_consistency():
     # the layer holding h_{g;mu} is indexed by the branch point count
     mu = (2, 1)
-    r = ramification_count(1, mu)
+    r = engines._query(1, mu)[2]
     layers = cut_and_join_layers(r, kmax=6)
     assert layers[r][(2, 1)] == connected_hurwitz(1, mu)
 

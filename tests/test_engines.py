@@ -9,18 +9,32 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz_hodge import characters, cutjoin, engines
-from hurwitz_hodge.characters import character_value, content_eigenvalue, irrep_dimension
+from hurwitz_hodge import characters, cutjoin, engines, hodge
+from hurwitz_hodge.characters import _content_sum, _dimension, character_value
 from hurwitz_hodge.cutjoin import cut_and_join_hurwitz
 from hurwitz_hodge.engines import (
     brute_force_hurwitz,
     connected_hurwitz,
-    frobenius_disconnected,
     genus_zero_closed_form,
-    ramification_count,
 )
 from hurwitz_hodge.errors import ConsistencyError, InfeasibleError
+from hurwitz_hodge.hodge import degree_LL
 from hurwitz_hodge.partitions import aut_count, check_profile, partitions_of
+
+
+def _labeled_disconnected(mu, r):
+    # #Aut(mu) times the tuples of product class mu, mu descending
+    return engines._disconnected(engines._class_counts(mu), r)
+
+
+def _disconnected(mu, r):
+    # 1/k! times the tuples of product class mu
+    mu = tuple(sorted(mu, reverse=True))
+    return Fraction(_labeled_disconnected(mu, r), factorial(sum(mu)) * aut_count(mu))
+
+
+def _branch_points(g, mu):
+    return engines._query(g, mu)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +110,14 @@ def _small_cases():
 
 @pytest.mark.parametrize("g,mu", _small_cases())
 def test_brute_force_against_literal_enumeration(g, mu):
-    r = ramification_count(g, mu)
+    r = _branch_points(g, mu)
     assert brute_force_hurwitz(g, mu) == enumerate_tuples(mu, r, require_connected=True)
 
 
 @pytest.mark.parametrize("g,mu", _small_cases())
 def test_frobenius_against_literal_enumeration(g, mu):
-    r = ramification_count(g, mu)
-    assert frobenius_disconnected(mu, r) == enumerate_tuples(mu, r, require_connected=False)
+    r = _branch_points(g, mu)
+    assert _disconnected(mu, r) == enumerate_tuples(mu, r, require_connected=False)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +125,11 @@ def test_frobenius_against_literal_enumeration(g, mu):
 
 
 def test_ramification_count_examples():
-    assert ramification_count(0, (1, 1, 1)) == 4
-    assert ramification_count(1, (2,)) == 3
-    assert ramification_count(2, (3,)) == 6
+    assert _branch_points(0, (1, 1, 1)) == 4
+    assert _branch_points(1, (2,)) == 3
+    assert _branch_points(2, (3,)) == 6
     with pytest.raises(ValueError):
-        ramification_count(-1, (2,))
+        _branch_points(-1, (2,))
 
 
 def test_brute_force_examples():
@@ -126,9 +140,9 @@ def test_brute_force_examples():
 
 
 def test_frobenius_examples():
-    assert frobenius_disconnected((1, 1, 1), 4) == Fraction(9, 2)
-    assert frobenius_disconnected((2,), 3) == Fraction(1, 2)
-    assert frobenius_disconnected((2, 2), 4) == 13
+    assert _disconnected((1, 1, 1), 4) == Fraction(9, 2)
+    assert _disconnected((2,), 3) == Fraction(1, 2)
+    assert _disconnected((2, 2), 4) == 13
 
 
 ANCHORS = {
@@ -221,7 +235,7 @@ def test_parity_vanishing():
             base = k - len(mu)
             for r in range(9):
                 if (r - base) % 2:
-                    assert frobenius_disconnected(mu, r) == 0
+                    assert _disconnected(mu, r) == 0
     # and the literal enumeration agrees that nothing was there to count
     assert enumerate_tuples((2,), 2, require_connected=False) == 0
     assert enumerate_tuples((1, 1, 1), 3, require_connected=False) == 0
@@ -233,7 +247,7 @@ def test_disconnected_dominates_connected():
             n = len(mu)
             for g in range(3):
                 r = k + n + 2 * g - 2
-                disconnected = frobenius_disconnected(mu, r)
+                disconnected = _disconnected(mu, r)
                 connected = connected_hurwitz(g, mu)
                 assert disconnected >= connected
                 if n == 1:
@@ -263,7 +277,7 @@ def test_brute_force_state_table_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    r = ramification_count(1, (1,) * 5)
+    r = _branch_points(1, (1,) * 5)
     assert results == [connected_hurwitz(1, (1,) * 5)] * 4
     assert len(engines._BRUTE_STATE[5]["summaries"]) == r + 1
 
@@ -349,7 +363,7 @@ def test_indivisible_character_sum_is_refused(monkeypatch):
     try:
         with pytest.raises(ConsistencyError,
                            match=r"^character sum 1 for class \(2,\) and r=1 is not divisible by z=2$"):
-            frobenius_disconnected((2,), 1)
+            connected_hurwitz(0, (2,))
     finally:
         engines._CLASSES.clear()
 
@@ -401,12 +415,6 @@ def _oracle_connected(mu, r):
     return total
 
 
-def _labeled_disconnected(mu, r):
-    value = frobenius_disconnected(mu, r, k_bound=16) * factorial(sum(mu)) * aut_count(mu)
-    assert value.denominator == 1
-    return int(value)
-
-
 def test_connected_matches_full_inclusion_exclusion():
     # the engine stops each r_block loop where the rest runs out of
     # transpositions and reads per-class rows; the oracle runs every
@@ -414,7 +422,7 @@ def test_connected_matches_full_inclusion_exclusion():
     queries = [(g, mu) for k in range(1, 10) for mu in partitions_of(k) for g in range(4)]
     for g, profile in [*queries, *_poles_workload()]:
         mu = tuple(sorted(profile, reverse=True))
-        expected = Fraction(_oracle_connected(mu, ramification_count(g, mu)),
+        expected = Fraction(_oracle_connected(mu, _branch_points(g, mu)),
                             factorial(sum(mu)) * aut_count(mu))
         assert connected_hurwitz(g, profile, k_bound=16) == expected, (g, profile)
     assert connected_hurwitz(0, (1,) * 16, k_bound=16) == genus_zero_closed_form((1,) * 16)
@@ -491,7 +499,7 @@ def test_characters_go_through_engines_character_value(monkeypatch):
     for lam, mu in calls:
         asked.setdefault(mu, []).append(lam)
     for mu, shapes in asked.items():
-        kept = [lam for lam in partitions_of(sum(mu)) if content_eigenvalue(lam) >= 0]
+        kept = [lam for lam in partitions_of(sum(mu)) if _content_sum(lam) >= 0]
         assert sorted(shapes) == sorted(kept)
 
 
@@ -502,8 +510,8 @@ def test_class_row_matches_full_character_sum(k):
     for mu in shapes:
         full = {}
         for lam in shapes:
-            content = content_eigenvalue(lam)
-            full[content] = full.get(content, 0) + irrep_dimension(lam) * character_value(lam, mu)
+            content = _content_sum(lam)
+            full[content] = full.get(content, 0) + _dimension(lam) * character_value(lam, mu)
         assert dict(engines._class_row(mu)[1]) == {c: w for c, w in full.items() if w}
 
 
@@ -600,20 +608,14 @@ def test_brute_force_seven_sheets_is_accepted():
 def test_character_engine_bounds():
     with pytest.raises(InfeasibleError, match="bound"):
         connected_hurwitz(0, (11,))
-    with pytest.raises(InfeasibleError, match="bound"):
-        connected_hurwitz(20, (2,))
-    with pytest.raises(InfeasibleError, match="bound"):
-        frobenius_disconnected((11,), 2)
     with pytest.raises(InfeasibleError, match="r=41 exceeds bound 40"):
-        frobenius_disconnected((2,), 41)
+        connected_hurwitz(20, (2,))
     assert connected_hurwitz(0, (11,), k_bound=11) == genus_zero_closed_form((11,))
 
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         connected_hurwitz(0, ())
-    with pytest.raises(ValueError):
-        frobenius_disconnected((2,), -1)
     with pytest.raises(ValueError):
         brute_force_hurwitz(0, (0, 1))
 
@@ -623,7 +625,8 @@ def test_invalid_inputs():
     lambda: connected_hurwitz(1, (1, 2)),
     lambda: cut_and_join_hurwitz(1, (1, 2)),
     lambda: genus_zero_closed_form((1, 2)),
-], ids=["brute", "frobenius", "cutjoin", "closed-form"])
+    lambda: degree_LL(1, (1, 2), 40),
+], ids=["brute", "frobenius", "cutjoin", "closed-form", "degree_LL"])
 def test_one_count_checks_its_profile_once(monkeypatch, count):
     calls = []
 
@@ -631,9 +634,11 @@ def test_one_count_checks_its_profile_once(monkeypatch, count):
         calls.append(profile)
         return check_profile(profile)
 
-    # cutjoin is spied on too, so that a check of its own would be counted
+    # cutjoin and hodge are spied on too, so that a check of their own
+    # would be counted
     monkeypatch.setattr(engines, "check_profile", spy)
     monkeypatch.setattr(cutjoin, "check_profile", spy, raising=False)
+    monkeypatch.setattr(hodge, "check_profile", spy, raising=False)
     count()
     assert calls == [(1, 2)]
 

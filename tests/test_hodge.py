@@ -21,13 +21,15 @@ from hurwitz_hodge.hodge import (
     hurwitz_from_hodge,
     is_stable,
     minimal_grid_bound,
-    normalized_value,
     prefactor,
-    weight_w,
 )
 from hurwitz_hodge.partitions import partitions_of
 
 F = Fraction
+
+
+def _normalized(g, profile, hurwitz=connected_hurwitz):
+    return hodge._normalized(g, profile, hurwitz(g, profile))
 
 
 # Oracle: the extraction as it was before interpolation, one equation per
@@ -89,7 +91,7 @@ def _oracle_bound(g, n):
 def _oracle_table(g, n, hurwitz):
     keys = hodge_keys(g, n)
     points = list(combinations_with_replacement(range(1, _oracle_bound(g, n) + 1), n))
-    rhs = [normalized_value(g, point, hurwitz) for point in points]
+    rhs = [_normalized(g, point, hurwitz) for point in points]
     solution = solve_exact(_design_matrix(keys, points), rhs)
     return {(g, n, b, j): value for (j, b), value in zip(keys, solution)}
 
@@ -139,12 +141,6 @@ def test_prefactor_examples():
     assert prefactor(2, (3,)) == 3240
 
 
-def test_weight_examples():
-    assert weight_w((1,)) == 1
-    assert weight_w((2, 2)) == 16
-    assert weight_w((3,)) == F(27, 2)
-
-
 def test_prefactor_matches_per_pole_product():
     # prefactor inverts the quotient _normalized; the oracle multiplies d!/#Aut by
     # k^k/k! pole by pole, on every ordered profile with k <= 8
@@ -170,6 +166,11 @@ def test_degree_ll_rejects_non_integer():
             degree_LL(0, (3,), h)
         assert str(info.value) == (f"deg LL = {shown} for genus 0, profile (3,) is not a nonnegative "
                                    "integer; the supplied Hurwitz number cannot be correct")
+    # an unsorted list is named as a tuple, in the order given
+    with pytest.raises(ConsistencyError) as info:
+        degree_LL(1, [1, 2], F(1, 3))
+    assert str(info.value) == ("deg LL = 2/3 for genus 1, profile (1, 2) is not a nonnegative "
+                               "integer; the supplied Hurwitz number cannot be correct")
 
 
 def test_degree_ll_takes_an_int():
@@ -190,16 +191,13 @@ def test_degree_ll_integrality_sweep():
 
 
 def test_normalized_value_examples():
-    assert normalized_value(0, (1, 1, 1)) == 1
-    assert normalized_value(1, (2,)) == F(1, 24)
-    assert normalized_value(2, (3,)) == F(1, 40)
+    assert _normalized(0, (1, 1, 1)) == 1
+    assert _normalized(1, (2,)) == F(1, 24)
+    assert _normalized(2, (3,)) == F(1, 40)
 
 
 def test_unstable_rejected():
     assert not is_stable(0, 1) and not is_stable(0, 2) and is_stable(0, 3)
-    for args in [(0, (1,)), (0, (1, 1))]:
-        with pytest.raises(ValueError, match="unstable"):
-            normalized_value(*args)
     with pytest.raises(ValueError, match="unstable"):
         extract_hodge_integrals(0, 2)
     with pytest.raises(ValueError, match="unstable"):
@@ -327,7 +325,7 @@ def test_residual_names_first_misfit_without_dense_block():
     profile, residual = _misfit(str(info.value))
     points = _sample(n, level)
     basis = _monomial_basis(n, level)
-    values = [normalized_value(g, p, _perturbed(at)) for p in points]
+    values = [_normalized(g, p, _perturbed(at)) for p in points]
     coefficients = solve_exact([[_monomial_sum(beta, p) for beta in basis] for p in points], values)
     kept = {b for _, b in hodge_keys(g, n)}
 
@@ -351,7 +349,7 @@ def test_residual_names_a_grid_profile_the_solution_misses(g, n, at):
     points = _sample(n, minimal_grid_bound(g, n))
     assert profile in points and residual != 0
     prefix = points[:points.index(profile) + 1]
-    values = [normalized_value(g, p, _perturbed(at)) for p in prefix]
+    values = [_normalized(g, p, _perturbed(at)) for p in prefix]
     values[-1] += residual
     design = _design_matrix(hodge_keys(g, n), prefix)
     assert column_rank(design) == column_rank([row + [v] for row, v in zip(design, values)])
